@@ -7,9 +7,9 @@ from .models import (CoefficientPair, ConfigurationError, DeterministicLaw,
                      ScalarMixtureLaw, UnsupportedOperationError, Variant,
                      VectorMixtureLaw, load_law_file, rank1_gauss, sample_pair,
                      sample_pairs, sample_h_raw, symm)
-from .recursion import (StationaryBatch, StopRule, StopStatus, Trajectory,
-                        advance, finite_iteration_tail, moment_growth_curve,
-                        sample_r, sample_r_batch)
+from .recursion import (ProductState, StationaryBatch, StopRule, StopStatus,
+                        finite_iteration_tail, moment_growth_curve,
+                        sample_r_batch)
 from .spectral import (CurveMethod, FirstColumnSample, LyapunovEstimate,
                        LyapunovMethod, SpectralCurve, dh_ds, h_closed_form,
                        k_product_limit, lyapunov, quadrature_oracle_d1,

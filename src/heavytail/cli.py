@@ -64,6 +64,17 @@ def _parse_grid(text: str) -> list[float]:
     return [float(p) for p in text.replace(",", " ").split()]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_spec(args) -> ModelSpec:
     overrides = {"d": args.d, "b": args.b, "eta": args.eta}
     if getattr(args, "law_file", None):
@@ -97,9 +108,9 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser, samples_default: int = 100_000) -> None:
-    p.add_argument("--samples", type=int, default=samples_default)
+    p.add_argument("--samples", type=_positive_int, default=samples_default)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_positive_int, default=None,
                    help=f"worker count (default ${mc.WORKERS_ENV_VAR} or 1)")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.add_argument("--dump-config", metavar="PATH",
@@ -159,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_common(p, samples_default=10_000)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=256)
+    p.add_argument("--bins", type=_positive_int, default=256)
 
     p = sub.add_parser("tailfit", help="Hill tail-index fit on simulated |R|")
     _add_model_args(p)
@@ -520,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         argv = _apply_config(parser, argv)
-    except (ConfigurationError, OSError) as exc:
+    except (ConfigurationError, OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     args = parser.parse_args(argv)

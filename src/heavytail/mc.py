@@ -65,13 +65,6 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     )
 
 
-def as_generator(seed_or_rng: int | np.random.Generator, index: int = 0) -> np.random.Generator:
-    """Accept either a master seed (preferred, enables provenance) or a Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return substream(int(seed_or_rng), index)
-
-
 def _chunk_sizes(draws: int, workers: int) -> list[int]:
     base, extra = divmod(draws, workers)
     return [base + (1 if i < extra else 0) for i in range(workers)]

@@ -28,6 +28,7 @@ from . import mc
 from .linalg import batch_operator_norms
 from .models import (ModelSpec, h_sum_support, iter_h_blocks, pair_a,
                      sample_h_columns, sample_pairs)
+from .recursion import ProductState
 
 S_MAX_DEFAULT = 30.0
 GAUSS_TAIL_CUT = 40.0  # N(0,1) mass beyond |a|=40 is < 1e-300
@@ -227,18 +228,12 @@ def spectral_curve(spec: ModelSpec, s_grid, samples: int, seed: int,
 
 def product_log_norms(spec: ModelSpec, n: int, draws: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """log ||A_1 ... A_n|| per draw, exact in log domain (stepwise renorm)."""
-    d = spec.d
-    p = np.broadcast_to(np.eye(d), (draws, d, d)).copy()
-    log_norm = np.zeros(draws)
+    """log ||A_1 ... A_n|| per draw, exact in the log domain (``ProductState``)."""
+    state = ProductState(spec.d, draws)
     for _ in range(n):
         h, _b = sample_pairs(spec, draws, rng)
-        a = pair_a(spec, h)
-        p = np.einsum("mij,mjk->mik", p, a)
-        nm = np.maximum(batch_operator_norms(p), 1e-300)
-        log_norm += np.log(nm)
-        p /= nm[:, None, None]
-    return log_norm
+        state.step(pair_a(spec, h))
+    return state.log_scale + np.log(np.maximum(batch_operator_norms(state.pi), 1e-300))
 
 
 def k_product_limit(spec: ModelSpec, s: float, n: int, samples: int, seed: int,

@@ -96,6 +96,33 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kcurve", "--model", "rank1gauss", "--eta", "0.5", "--samples", "0"],
+    ["contour", "--model", "rank1gauss", "--eta", "0.5", "--param-grid", "1,2",
+     "--samples", "0"],
+    ["moments", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "1",
+     "--samples", "0"],
+    ["operator", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--bins", "0"],
+    ["simulate", "--model", "rank1gauss", "--eta", "0.5", "--workers", "0"],
+    ["kcurve", "--model", "rank1gauss", "--eta", "0.5", "--samples", "-3"],
+    ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--samples", "ten"],
+])
+def test_non_positive_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+def test_config_non_positive_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text(RunConfig("kcurve", {"model": "rank1gauss", "eta": "0.5",
+                                         "samples": "0"}).to_text())
+    assert run_cli(["--config", path]) == EXIT_CONFIG
+    assert ">= 1" in capsys.readouterr().err
+
+
 def test_lyapunov_line(tmp_path, capsys):
     code = run_cli(["lyapunov", "--model", "symm-det-identity", "--eta", "0.5",
                     "--b", "1", "--samples", "10", "--out", tmp_path / "g.csv"])

@@ -3,29 +3,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from heavytail import mc, recursion
+from heavytail.cli import main
 from heavytail.linalg import batch_operator_norms, operator_norm
-from heavytail.models import (CoefficientPair, ConfigurationError,
-                              DeterministicLaw, MatrixMixtureLaw,
-                              VectorMixtureLaw, pair_a, rank1_gauss,
-                              sample_pairs, symm)
-from heavytail.recursion import (AlphaTilt, StopRule, StopStatus, TiltedPaths,
-                                 Trajectory, advance, finite_iteration_tail,
+from heavytail.models import (ConfigurationError, DeterministicLaw,
+                              MatrixMixtureLaw, VectorMixtureLaw, pair_a,
+                              rank1_gauss, sample_pairs, symm)
+from heavytail.recursion import (AlphaTilt, ProductState, StopRule, StopStatus,
+                                 TiltedPaths, finite_iteration_tail,
                                  moment_growth_curve, partial_sum_norms,
-                                 sample_r, sample_r_batch)
-
-
-def const_pair(a_mat, b_vec):
-    a_mat = np.asarray(a_mat, dtype=float)
-    h = np.eye(len(a_mat)) - a_mat  # placeholder H consistent with xi = 1
-    return CoefficientPair(A=a_mat, B=np.asarray(b_vec, dtype=float), H=h)
+                                 sample_r_batch)
 
 
 def half_identity_spec(d=2):
     # A = 0.5 I, B = e_1 deterministically
     return symm(d=d, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(d)),
                 b_law=VectorMixtureLaw((np.eye(d)[0],), (1.0,)))
+
+
+def const_steps(state, a_mat, b_vec, n):
+    """n steps of a one-path ProductState with fixed A and B."""
+    a = np.asarray(a_mat, dtype=float)[None]
+    b = np.asarray(b_vec, dtype=float)[None]
+    for _ in range(n):
+        state.step(a, b)
 
 
 def test_operator_norm_accuracy():
@@ -44,54 +49,86 @@ def test_operator_norm_accuracy():
     assert np.allclose(batch_operator_norms(rots), 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-80, 1e80, 1e150, 1e300])
+def test_operator_norm_at_extreme_scales(scale):
+    # the 2x2 closed form squares the squared Frobenius norm, which over- or
+    # underflows past about 1e77; such matrices are rescaled by powers of two
+    m = np.random.default_rng(7).standard_normal((200, 2, 2))
+    ref = np.linalg.svd(m, compute_uv=False)[:, 0]
+    assert np.allclose(batch_operator_norms(m * scale) / scale, ref,
+                       rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mats=hnp.arrays(float, st.tuples(st.integers(8, 16), st.just(2), st.just(2)),
+                       elements=st.floats(0.1, 1.0)),
+       k=st.integers(20, 80), sign=st.sampled_from([-1, 1]))
+def test_log_norms_invariant_under_renormalization(mats, k, sign):
+    # Scaling every A_j by c = 10^(+-k) takes the product past 1e150 or below
+    # 1e-150 within 8 steps, so the scaled path renormalizes and the plain
+    # one does not. Positive entries leave no cancellation, so both round
+    # to within a few ulps.
+    c = 10.0 ** (sign * k)
+    plain, scaled = ProductState(2, 1), ProductState(2, 1)
+    for n, a in enumerate(mats, start=1):
+        plain.step(a[None])
+        scaled.step(c * a[None])
+        assert scaled.log_norms()[0] == pytest.approx(
+            plain.log_norms()[0] + n * np.log(c), rel=1e-12)
+        unit = [s.pi[0] / operator_norm(s.pi[0]) for s in (plain, scaled)]
+        assert np.allclose(unit[1], unit[0], rtol=1e-12, atol=0)
+    assert plain.log_scale[0] == 0.0 and scaled.log_scale[0] != 0.0
+
+
 def test_geometric_series_r3():
     # A = 0.5 I, B = e_1: R_n = (2 - 2^(1-n)) e_1
-    traj = Trajectory(d=2)
-    pair = const_pair(0.5 * np.eye(2), [1.0, 0.0])
-    for _ in range(3):
-        advance(traj, pair)
-    assert traj.r[0] == pytest.approx(1.75, rel=1e-12)
-    assert traj.r[1] == 0.0
-    assert traj.n == 3
+    batch = sample_r_batch(half_identity_spec(), 1, mc.substream(0),
+                           StopRule(tol_prod=0.0, n_max=3))
+    assert batch.r[0, 0] == pytest.approx(1.75, rel=1e-12)
+    assert batch.r[0, 1] == 0.0
+    assert batch.n_steps[0] == 3
+    assert batch.status[0] == StopStatus.N_MAX.value
 
 
 def test_identity_accumulates_linearly():
-    traj = Trajectory(d=2)
-    pair = const_pair(np.eye(2), [1.0, 0.0])
-    for _ in range(17):
-        advance(traj, pair)
-    assert traj.r[0] == pytest.approx(17.0, rel=1e-14)
+    state = ProductState(2, 1)
+    const_steps(state, np.eye(2), [1.0, 0.0], 17)
+    assert state.r[0, 0] == pytest.approx(17.0, rel=1e-14)
 
 
 def test_forward_iterate_tracked():
-    traj = Trajectory(d=1, x=np.array([3.0]))
-    pair = const_pair(0.5 * np.eye(1), [1.0])
-    advance(traj, pair)
-    assert traj.x[0] == pytest.approx(2.5)  # 0.5*3 + 1
+    # X_1 = A X_0 + B = Pi_1 X_0 + R_1
+    x0 = np.array([3.0])
+    state = ProductState(1, 1)
+    const_steps(state, 0.5 * np.eye(1), [1.0], 1)
+    x1 = np.exp(state.log_scale[0]) * state.pi[0] @ x0 + state.r[0]
+    assert x1[0] == pytest.approx(2.5)  # 0.5*3 + 1
 
 
 def test_divergence_freezes_trajectory():
-    traj = Trajectory(d=1)
-    huge = const_pair(np.array([[1e308]]), [1e308])
-    advance(traj, huge)
-    advance(traj, huge)  # R increment overflows -> frozen
-    assert traj.diverged
-    n_at_freeze = traj.n
-    advance(traj, huge)
-    assert traj.n == n_at_freeze
+    # A = 1 + 1e308, B = 1e308: R_1 = 1e308 is finite, R_2 overflows, so the
+    # path stops at step 2 as diverged and keeps its last finite R
+    spec = symm(d=1, b=1, eta=1.0, h_law=DeterministicLaw(np.array([[-1e308]])),
+                b_law=VectorMixtureLaw((np.array([1e308]),), (1.0,)))
+    batch = sample_r_batch(spec, 1, mc.substream(0), StopRule(n_max=10))
+    assert batch.status[0] == StopStatus.DIVERGED.value
+    assert batch.n_steps[0] == 2
+    assert batch.r[0, 0] == 1e308
+    assert batch.log_pi_final[0] == np.inf
 
 
 def test_submultiplicative_log_norms():
     spec = rank1_gauss(d=2, b=2, eta=0.4)
     rng = mc.substream(1)
-    traj = Trajectory(d=2)
+    state = ProductState(2, 1)
     prev = 0.0
     for _ in range(50):
         h, b = sample_pairs(spec, 1, rng)
-        pr = CoefficientPair(A=pair_a(spec, h[0]), B=b[0], H=h[0])
-        advance(traj, pr)
-        assert traj.log_norms[-1] <= prev + np.log(operator_norm(pr.A)) + 1e-10
-        prev = traj.log_norms[-1]
+        a = pair_a(spec, h)
+        state.step(a, b)
+        log_norm = state.log_norms()[0]
+        assert log_norm <= prev + np.log(operator_norm(a[0])) + 1e-10
+        prev = log_norm
 
 
 def test_r_recomputable_from_history():
@@ -99,35 +136,38 @@ def test_r_recomputable_from_history():
     spec = rank1_gauss(d=2, b=8, eta=0.1)
     rng = mc.substream(2)
     history = []
-    traj = Trajectory(d=2)
+    state = ProductState(2, 1)
     for _ in range(50):
         h, b = sample_pairs(spec, 1, rng)
-        pr = CoefficientPair(A=pair_a(spec, h[0]), B=b[0], H=h[0])
-        history.append(pr)
-        advance(traj, pr)
+        a = pair_a(spec, h)
+        history.append((a[0], b[0]))
+        state.step(a, b)
     # brute-force re-expansion: R = sum Pi_{k-1} B_k with fresh products
     pi = np.eye(2)
     r = np.zeros(2)
-    for pr in history:
-        r = r + pi @ pr.B
-        pi = pi @ pr.A
-    assert np.linalg.norm(traj.r - r) <= 1e-10 * max(np.linalg.norm(r), 1.0)
+    for a, b in history:
+        r = r + pi @ b
+        pi = pi @ a
+    assert np.linalg.norm(state.r[0] - r) <= 1e-10 * max(np.linalg.norm(r), 1.0)
 
 
 def test_sample_r_geometric_stop():
-    r, status, n = sample_r(half_identity_spec(), mc.substream(3))
-    assert status == StopStatus.TOL_PROD.value
-    assert n == 40  # 2^-40 < 1e-12
-    assert abs(r[0] - 2.0) < 1e-11
-    assert r[1] == 0.0
+    batch = sample_r_batch(half_identity_spec(), 1, mc.substream(3))
+    assert batch.status[0] == StopStatus.TOL_PROD.value
+    assert batch.n_steps[0] == 40  # 2^-40 < 1e-12
+    assert abs(batch.r[0, 0] - 2.0) < 1e-11
+    assert batch.r[0, 1] == 0.0
 
 
-def test_sample_r_non_contraction_warning():
-    # A = I: gamma = 0 boundary, no decay
-    spec = symm(d=1, b=1, eta=1.0, h_law=DeterministicLaw(np.zeros((1, 1))))
-    with pytest.warns(RuntimeWarning, match="did not contract"):
-        _, status, _ = sample_r(spec, mc.substream(4), StopRule(n_max=50))
-    assert status == StopStatus.NON_CONTRACTION.value
+def test_sample_r_non_contraction_warning(tmp_path, capsys):
+    # A = -I: ||Pi_n|| = 1 at every step (gamma = 0 boundary), no decay
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", "--model", "symm-det-identity", "--eta", "2",
+                 "--samples", "3", "--n-max", "50", "--out", str(out)])
+    assert code == 0
+    assert "3/3 trajectories did not contract" in capsys.readouterr().err
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["50"] * 3
 
 
 def test_sample_r_stationary_mean_zero_d1():
@@ -147,22 +187,23 @@ def test_truncation_error_bounded_by_product_norm():
     rng = mc.substream(6)
     stop = StopRule(tol_prod=1e-6, n_max=10_000)
     for _ in range(100):
-        traj = Trajectory(d=1)
-        while np.exp(traj.log_pi_norm) > stop.tol_prod:
+        state = ProductState(1, 1)
+        n_stop = 0
+        while np.exp(state.log_norms()[0]) > stop.tol_prod:
             h, b = sample_pairs(spec, 1, rng)
-            advance(traj, CoefficientPair(A=pair_a(spec, h[0]), B=b[0], H=h[0]))
-        r_stop = traj.r.copy()
-        pi_stop = np.exp(traj.log_pi_norm)
-        n_extra = traj.n  # extend to twice the stopping step
+            state.step(pair_a(spec, h), b)
+            n_stop += 1
+        r_stop = state.r[0].copy()
+        pi_stop = np.exp(state.log_norms()[0])
         shifted_pi = np.eye(1)
         bound = 0.0
-        for _ in range(n_extra):
+        for _ in range(n_stop):  # extend to twice the stopping step
             h, b = sample_pairs(spec, 1, rng)
-            pr = CoefficientPair(A=pair_a(spec, h[0]), B=b[0], H=h[0])
-            bound += operator_norm(shifted_pi) * np.linalg.norm(pr.B)
-            shifted_pi = shifted_pi @ pr.A
-            advance(traj, pr)
-        gap = np.linalg.norm(traj.r - r_stop)
+            a = pair_a(spec, h)
+            bound += operator_norm(shifted_pi) * np.linalg.norm(b[0])
+            shifted_pi = shifted_pi @ a[0]
+            state.step(a, b)
+        gap = np.linalg.norm(state.r[0] - r_stop)
         assert gap <= pi_stop * bound + 1e-300
 
 
@@ -239,21 +280,24 @@ def test_finite_iteration_tail_slope_mixture():
 
 
 def test_trajectory_thinning_records_every_kth():
-    traj = Trajectory(d=1, thin=5)
-    pair = const_pair(0.5 * np.eye(1), [1.0])
-    for _ in range(12):
-        advance(traj, pair)
-    assert len(traj.log_norms) == 2  # steps 5 and 10
-    assert traj.log_norms[0] == pytest.approx(5 * np.log(0.5))
+    # log ||Pi_n|| read out at steps 5 and 10 of a 12-step path
+    state = ProductState(1, 1)
+    seen = {}
+    for n in range(1, 13):
+        const_steps(state, 0.5 * np.eye(1), [1.0], 1)
+        if n % 5 == 0:
+            seen[n] = state.log_norms()[0]
+    assert list(seen) == [5, 10]
+    assert seen[5] == pytest.approx(5 * np.log(0.5), rel=1e-14)
+    assert seen[10] == pytest.approx(10 * np.log(0.5), rel=1e-14)
 
 
 def test_log_scale_renormalization_roundtrip():
     # products far below the float floor keep exact log norms
-    traj = Trajectory(d=1)
-    pair = const_pair(1e-60 * np.eye(1), [0.0])
-    for _ in range(8):  # raw product would be 1e-480, unrepresentable
-        advance(traj, pair)
-    assert traj.log_pi_norm == pytest.approx(8 * np.log(1e-60), rel=1e-12)
+    state = ProductState(1, 1)
+    const_steps(state, 1e-60 * np.eye(1), [0.0], 8)  # raw product 1e-480
+    assert state.log_norms()[0] == pytest.approx(8 * np.log(1e-60), rel=1e-12)
+    assert state.log_scale[0] != 0.0
 
 
 def test_moment_curve_matches_exact_path_enumeration():

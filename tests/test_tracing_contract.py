@@ -1,0 +1,41 @@
+"""The benchmark's tracer patches package bindings by name; a renamed
+function or a dropped import would make it fail with a KeyError."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from heavytail.cli import main
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_binds_and_counts_product_layers(tmp_path, monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    model = ["--model", "rank1gauss", "--d", "2", "--b", "2", "--eta", "0.5",
+             "--samples", "20", "--seed", "1"]
+    jobs = [
+        ["simulate", *model, "--out", tmp_path / "sim.csv"],
+        ["kcurve", *model, "--method", "product", "--s-grid", "1:1:2", "--n", "5",
+         "--out", tmp_path / "k.csv"],
+        ["moments", "--model", "symm-det-identity", "--eta", "0.5", "--alpha", "1",
+         "--n-grid", "2,4", "--samples", "20", "--out", tmp_path / "m.csv"],
+    ]
+    with tracing.installed(tracing.Tracer()) as tracer:
+        for argv in jobs:
+            assert main([str(a) for a in argv]) == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["recursion.path_steps"] > 0
+    assert metrics["spectral.product_log_norms.calls"] > 0
+    assert metrics["recursion.partial_sum_norms.path_steps"] == 20 * 4
+    assert metrics["models.sample_pairs.draws"] > 0
+    assert metrics["linalg.batch_operator_norms.matrices"] > 0
