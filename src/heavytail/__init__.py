@@ -2,11 +2,10 @@
 with A = I - xi*H, the coefficient structure of SGD on quadratic losses."""
 
 from .mc import McEstimate, parallel_map, parallel_mean, resolve_workers, substream
-from .models import (CoefficientPair, ConfigurationError, DeterministicLaw,
-                     GaussianVectorLaw, GoeLaw, MatrixMixtureLaw, ModelSpec,
-                     ScalarMixtureLaw, UnsupportedOperationError, Variant,
-                     VectorMixtureLaw, load_law_file, rank1_gauss, sample_pair,
-                     sample_pairs, sample_h_raw, symm)
+from .models import (ConfigurationError, DeterministicLaw, GaussianVectorLaw,
+                     GoeLaw, MatrixMixtureLaw, ModelSpec, ScalarMixtureLaw,
+                     Variant, VectorMixtureLaw, load_law_file, rank1_gauss,
+                     sample_pairs, symm)
 from .recursion import (ProductState, StationaryBatch, StopRule, StopStatus,
                         finite_iteration_tail, moment_growth_curve,
                         sample_r_batch)

@@ -312,7 +312,7 @@ class InnerProductCheckReport:
         return self.chi2_pvalue > level
 
 
-def stam_p2_check(b: int, samples: int, seed: int = 0, n_bins: int = 50,
+def stam_p2_check(b: int, samples: int, seed: mc.Seed = 0, n_bins: int = 50,
                   workers: int | None = None) -> InnerProductCheckReport:
     """Goodness of fit of sampled <Y_1, Y_2> against the (1-u^2)^((b-3)/2) law.
 

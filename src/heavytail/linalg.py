@@ -1,4 +1,5 @@
-"""Small dense operator-norm helpers (largest singular value).
+"""Small dense norm helpers: operator norms (largest singular value) and
+Euclidean row norms.
 
 Accuracy target is 1e-12 relative. The 2x2 closed form is used where it is
 provably accurate and falls back to LAPACK SVD when the two singular values
@@ -52,6 +53,22 @@ def batch_operator_norms(p: np.ndarray) -> np.ndarray:
             out[extreme] = np.ldexp(scaled, exp)
         return out
     return np.linalg.svd(p, compute_uv=False)[..., 0]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (n, d) array, finite wherever the row
+    and its norm are. sqrt(sum x^2) overflows once an entry passes about
+    1e154; such rows are first scaled by a power of two, which is exact, and
+    every other row keeps the bits of the plain form."""
+    with np.errstate(over="ignore"):
+        out = np.sqrt((x * x).sum(axis=1))
+    big = np.isinf(out)
+    if big.any():
+        q = x[big]
+        exp = np.frexp(np.abs(q).max(axis=1))[1]
+        scaled = np.ldexp(q, -exp[:, None])
+        out[big] = np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), exp)
+    return out
 
 
 def operator_norm(m: np.ndarray) -> float:

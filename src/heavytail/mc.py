@@ -7,6 +7,11 @@ Worker substreams are derived from the master seed via
 ``(seed, workers)`` pair is bit-reproducible regardless of scheduling:
 chunks are merged in worker-index order, never in completion order.
 
+A seed is an int or a seed path ``(root, *key)``. A path names a family of
+streams of its own, ``SeedSequence(root, spawn_key=(*key, worker_index))``,
+so a computation that needs several independent samples derives them as
+``(seed, 0)``, ``(seed, 1)``, ... instead of by seed arithmetic.
+
 Estimates with different worker counts partition the stream differently and
 therefore differ (within Monte-Carlo noise); this is documented behaviour,
 not hidden.
@@ -27,6 +32,9 @@ WORKERS_ENV_VAR = "HEAVYTAIL_WORKERS"
 # n_draws rows (2-D). It must be a pure function of its substream.
 McTask = Callable[[np.random.Generator, int], np.ndarray]
 
+# An int root seed, or a seed path (root, *key).
+Seed = int | tuple[int, ...]
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -41,7 +49,7 @@ class McEstimate:
     stderr: float
     n: int
     skipped: int = 0
-    seed: int | None = None
+    seed: Seed | None = None
     workers: int = 1
     skip_reasons: tuple[tuple[str, int], ...] = ()
 
@@ -58,10 +66,12 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def substream(seed: int, index: int = 0) -> np.random.Generator:
-    """Deterministic substream ``index`` of master ``seed``."""
+def substream(seed: Seed, index: int = 0) -> np.random.Generator:
+    """Deterministic substream ``index`` of ``seed``: an int root, or a seed
+    path ``(root, *key)``, whose substreams are spawn_key ``(*key, index)``."""
+    root, *key = (seed,) if isinstance(seed, (int, np.integer)) else seed
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
+        np.random.PCG64(np.random.SeedSequence(root, spawn_key=(*key, index)))
     )
 
 
@@ -73,7 +83,7 @@ def _chunk_sizes(draws: int, workers: int) -> list[int]:
 def parallel_map(
     task: McTask,
     draws: int,
-    seed: int,
+    seed: Seed,
     workers: int | None = None,
 ) -> np.ndarray:
     """Evaluate ``task`` over ``draws`` substream draws, concatenated in worker order.
@@ -105,7 +115,7 @@ def parallel_map(
 
 def estimate_from_values(
     values: np.ndarray,
-    seed: int | None = None,
+    seed: Seed | None = None,
     workers: int = 1,
     skip_tag: str = "non-finite",
 ) -> McEstimate:
@@ -127,7 +137,7 @@ def estimate_from_values(
 def parallel_mean(
     task: McTask,
     draws: int,
-    seed: int,
+    seed: Seed,
     workers: int | None = None,
 ) -> McEstimate:
     """Deterministic parallel Monte-Carlo mean of a per-draw evaluator.

@@ -46,10 +46,6 @@ class ConfigurationError(ValueError):
     """Invalid model/law configuration."""
 
 
-class UnsupportedOperationError(RuntimeError):
-    """Operation not defined for this model variant."""
-
-
 PROB_SUM_TOL = 1e-12
 
 # Batch samplers allocate in blocks of this many draws to bound memory.
@@ -316,18 +312,6 @@ def symm(d: int, b: int, eta: float, h_law, b_law=None) -> ModelSpec:
     return ModelSpec(Variant.SYMM, d=d, b=b, eta=eta, h_law=h_law, b_law=b_law)
 
 
-@dataclass(frozen=True)
-class CoefficientPair:
-    """One draw (A, B) with the underlying summed symmetric matrix H.
-
-    Invariant: A + xi*H == I entrywise (by construction order).
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    H: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -362,19 +346,12 @@ def sample_h_sums(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarr
     return h
 
 
-def sample_h_raw(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the unscaled H = sum_i a_i a_i^T (rank1 variants only)."""
-    if spec.variant is Variant.SYMM:
-        raise UnsupportedOperationError("raw rank-one H sums are undefined for the symm variant")
-    return sample_h_sums(spec, 1, rng)[0]
-
-
 def sample_pairs(spec: ModelSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n coefficient draws as arrays (H: (n,d,d), B: (n,d)).
 
     Draw order per batch: rank1 variants draw all a's, then all y's;
     symm draws all H's, then all B's. A is not materialized here;
-    use ``pair_a`` / ``sample_pair`` when the A matrix itself is needed.
+    use ``pair_a`` when the A matrix itself is needed.
     """
     if spec.variant is Variant.SYMM:
         h = spec.h_law.sample_sum(n, spec.b, rng)
@@ -392,12 +369,6 @@ def sample_pairs(spec: ModelSpec, n: int, rng: np.random.Generator) -> tuple[np.
 def pair_a(spec: ModelSpec, h: np.ndarray) -> np.ndarray:
     """A = I - xi*H for a batch (or single) summed H."""
     return np.eye(spec.d) - spec.xi * h
-
-
-def sample_pair(spec: ModelSpec, rng: np.random.Generator) -> CoefficientPair:
-    """One i.i.d. draw (A, B, H)."""
-    h, bvec = sample_pairs(spec, 1, rng)
-    return CoefficientPair(A=pair_a(spec, h[0]), B=bvec[0], H=h[0])
 
 
 def iter_h_blocks(spec: ModelSpec, n: int, rng: np.random.Generator,

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import mc
-from .linalg import batch_operator_norms
+from .linalg import batch_operator_norms, row_norms
 from .models import (BLOCK, MAX_SUPPORT_ATOMS, ConfigurationError, ModelSpec,
                      h_sum_support, pair_a, sample_pairs)
 
@@ -89,7 +89,7 @@ class StationaryBatch:
 
     @property
     def abs_r(self) -> np.ndarray:
-        return np.sqrt((self.r * self.r).sum(axis=1))
+        return row_norms(self.r)
 
 
 def sample_r_batch(spec: ModelSpec, draws: int, rng: np.random.Generator,
@@ -345,7 +345,7 @@ def partial_sum_norms(spec: ModelSpec, n_grid: list[int], draws: int,
             b = spec.b_law.sample(draws, rng)
         state.step(a, b)
         while pos < len(n_grid) and n == n_grid[pos]:
-            out[:, pos] = np.sqrt((state.r * state.r).sum(axis=1))
+            out[:, pos] = row_norms(state.r)
             if paths is not None:
                 paths.record(pos)
             pos += 1

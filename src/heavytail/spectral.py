@@ -73,62 +73,62 @@ def _warn_if_not_rotation_invariant(spec: ModelSpec, what: str) -> None:
 
 
 class FirstColumnSample:
-    """Frozen draw of the first columns H e_1, the common-random-numbers core.
+    """Frozen draw of the columns H u, the common-random-numbers core.
 
-    For finite-support laws the 'draws' are the exact b-fold sum support with
-    its probabilities, making every downstream value deterministic (stderr 0).
-    ``v(xi) = |(I - xi*H) e_1|`` is recomputable for any xi from the frozen
-    columns, so one sample powers whole s- and xi-grids.
+    u is a unit direction, e_1 unless one is given. The columns are kept as
+    one (d, n) array. For finite-support laws the 'draws' are the exact
+    b-fold sum support with its probabilities, making every downstream value
+    deterministic (stderr 0). ``v(xi) = |(I - xi*H) u|`` is recomputable for
+    any xi from the frozen columns, so one sample powers whole s- and
+    xi-grids.
     """
 
-    def __init__(self, spec: ModelSpec, samples: int, seed: int,
+    def __init__(self, spec: ModelSpec, samples: int, seed: mc.Seed,
                  workers: int | None = None, direction: np.ndarray | None = None):
         self.spec = spec
         self.seed = seed
         self.workers = mc.resolve_workers(workers)
-        self.direction = None
-        if direction is not None:
-            u = np.asarray(direction, dtype=float)
-            self.direction = u / np.linalg.norm(u)
-        support = h_sum_support(spec) if direction is None else None
+        u = np.eye(spec.d)[0] if direction is None else np.asarray(direction, dtype=float)
+        self.u = u / np.linalg.norm(u)
+        support = h_sum_support(spec)
         if support is not None:
-            self.exact = True
-            self.cols = np.stack([h[:, 0] for h, _ in support])
+            self.cols = np.stack([h @ self.u for h, _ in support], axis=1)
             self.weights = np.array([p for _, p in support])
-            self.n = len(support)
         else:
-            self.exact = False
-            if direction is None:
-                def task(rng, m):
+            def task(rng, m):
+                if direction is None:
                     return sample_h_columns(spec, m, rng)
-            else:
-                u = self.direction
-
-                def task(rng, m):
-                    h = np.empty((m, spec.d))
-                    done = 0
-                    for block in iter_h_blocks(spec, m, rng):
-                        h[done:done + block.shape[0]] = block @ u
-                        done += block.shape[0]
-                    return h
-            self.cols = mc.parallel_map(task, samples, seed, self.workers)
+                return np.concatenate([h @ self.u for h in iter_h_blocks(spec, m, rng)])
+            self.cols = np.ascontiguousarray(
+                mc.parallel_map(task, samples, seed, self.workers).T)
             self.weights = None
-            self.n = samples
+        self.exact = self.weights is not None
+        self.n = self.cols.shape[-1]
 
     def v(self, xi: float) -> np.ndarray:
-        """|(I - xi*H) u| per frozen draw (u = e_1 unless a direction was given)."""
-        w = -xi * self.cols
-        if self.direction is None:
-            w[:, 0] += 1.0
-        else:
-            w += self.direction
-        return np.sqrt((w * w).sum(axis=1))
+        """|(I - xi*H) u| per frozen draw."""
+        return np.sqrt(((self.u[:, None] - xi * self.cols) ** 2).sum(axis=0))
 
-    def _moment(self, values: np.ndarray) -> mc.McEstimate:
+    def _moment(self, values: np.ndarray, tag: str) -> mc.McEstimate:
+        """Mean of per-draw values; non-finite ones are excluded, counted as
+        skipped under ``tag`` and warned about."""
         if self.exact:
-            mean = float(values @ self.weights)
-            return mc.McEstimate(mean, 0.0, self.n, 0, self.seed, self.workers)
-        return mc.estimate_from_values(values, seed=self.seed, workers=self.workers)
+            keep = np.isfinite(values)
+            skipped = int(values.size - keep.sum())
+            if skipped:
+                w = self.weights[keep]
+                mean = float(values[keep] @ w / w.sum()) if w.sum() > 0 else np.nan
+            else:
+                mean = float(values @ self.weights)
+            est = mc.McEstimate(mean, 0.0, self.n - skipped, skipped, self.seed,
+                                self.workers, ((tag, skipped),) if skipped else ())
+        else:
+            est = mc.estimate_from_values(values, seed=self.seed, workers=self.workers,
+                                          skip_tag=tag)
+        if est.skipped:
+            warnings.warn(f"{est.skipped} draws excluded ({tag})", RuntimeWarning,
+                          stacklevel=3)
+        return est
 
     def h(self, s: float, xi: float | None = None) -> mc.McEstimate:
         if s < 0:
@@ -136,10 +136,11 @@ class FirstColumnSample:
         xi = self.spec.xi if xi is None else xi
         if s == 0:
             return mc.McEstimate(1.0, 0.0, self.n, 0, self.seed, self.workers)
-        return self._moment(self.v(xi) ** s)
+        with np.errstate(over="ignore"):
+            return self._moment(self.v(xi) ** s, "overflow")
 
     def dh_ds(self, s: float, xi: float | None = None) -> mc.McEstimate:
-        """E |(I-xi H)e_1|^s log|(I-xi H)e_1| on the frozen draw.
+        """E |(I-xi H)u|^s log|(I-xi H)u| on the frozen draw.
 
         Zero norms (a probability-zero event under density assumptions) are
         excluded and counted as skipped.
@@ -149,37 +150,16 @@ class FirstColumnSample:
         xi = self.spec.xi if xi is None else xi
         v = self.v(xi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(v > 0, v ** s * np.log(np.where(v > 0, v, 1.0)), np.nan)
-        return self._moment_with_skips(vals, "zero-norm")
+            return self._moment(v ** s * np.log(v), "zero-norm")
 
     def gamma(self, xi: float | None = None) -> mc.McEstimate:
         xi = self.spec.xi if xi is None else xi
-        v = self.v(xi)
         with np.errstate(divide="ignore"):
-            vals = np.where(v > 0, np.log(np.where(v > 0, v, 1.0)), np.nan)
-        return self._moment_with_skips(vals, "zero-norm")
-
-    def _moment_with_skips(self, values: np.ndarray, tag: str) -> mc.McEstimate:
-        bad = ~np.isfinite(values)
-        if bad.any():
-            warnings.warn(f"{int(bad.sum())} draws excluded ({tag})",
-                          RuntimeWarning, stacklevel=3)
-        if self.exact:
-            if bad.any():
-                keep = ~bad
-                wsum = self.weights[keep].sum()
-                mean = float(values[keep] @ self.weights[keep] / wsum) \
-                    if wsum > 0 else np.nan
-                return mc.McEstimate(mean, 0.0, int(keep.sum()), int(bad.sum()),
-                                     self.seed, self.workers, ((tag, int(bad.sum())),))
-            return mc.McEstimate(float(values @ self.weights), 0.0, self.n, 0,
-                                 self.seed, self.workers)
-        return mc.estimate_from_values(values, seed=self.seed, workers=self.workers,
-                                       skip_tag=tag)
+            return self._moment(np.log(self.v(xi)), "zero-norm")
 
     def mean_h11(self) -> mc.McEstimate:
-        """E <H e_1, e_1> on the frozen draw (positivity precondition checks)."""
-        return self._moment(self.cols[:, 0])
+        """E <H u, u> on the frozen draw (positivity precondition checks)."""
+        return self._moment(self.u @ self.cols, "non-finite")
 
 
 def h_closed_form(spec: ModelSpec, s: float, samples: int, seed: int,

@@ -217,24 +217,27 @@ def alpha_curve(spec: ModelSpec, xi_grid, tol_root: float = 1e-3,
                 workers: int | None = None) -> AlphaCurve:
     """alpha(xi) over a xi-grid, with xi_1 and a strict-decrease report.
 
-    Each xi owns a derived substream (index = position in the grid). Within
-    5% of xi_1 the implicit function is badly conditioned (the slope of h at
-    s=1 vanishes), so tolerance is tightened and the sample count raised.
+    Every solve shares one frozen draw (common random numbers across xi):
+    xi_1 and the points outside the refine window use ``samples`` columns
+    from ``seed``. Within 5% of xi_1 the implicit function is badly
+    conditioned (the slope of h at s=1 vanishes), so the tolerance is
+    tightened and those points share one sample four times as large, drawn
+    from the same seed when first needed.
     """
     xi_grid = tuple(float(x) for x in xi_grid)
-    xi1 = solve_xi1(spec, tol_root=tol_root, samples=samples, seed=seed,
-                    workers=workers)
+    cols = FirstColumnSample(spec, samples, seed, workers)
+    xi1 = solve_xi1(spec, tol_root=tol_root, cols=cols)
+    refined = None
     solves = []
-    for i, xi in enumerate(xi_grid):
-        near_critical = abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1
-        n_draws = samples * XI1_REFINE_SAMPLES if near_critical else samples
-        tol = tol_root * XI1_REFINE_TOL if near_critical else tol_root
-        cols = FirstColumnSample(spec, n_draws, seed, workers=workers) \
-            if spec.has_finite_h_support else \
-            FirstColumnSample(spec, n_draws, _spawned(seed, i), workers=workers)
+    for xi in xi_grid:
+        tol, point_cols = tol_root, cols
+        if abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1:
+            if refined is None:
+                refined = FirstColumnSample(spec, samples * XI1_REFINE_SAMPLES, seed,
+                                            workers)
+            tol, point_cols = tol_root * XI1_REFINE_TOL, refined
         try:
-            solves.append(solve_alpha(spec, tol_root=tol, samples=n_draws,
-                                      seed=seed, workers=workers, cols=cols, xi=xi))
+            solves.append(solve_alpha(spec, tol_root=tol, cols=point_cols, xi=xi))
         except Exception as exc:  # per-point failures recorded, curve continues
             warnings.warn(f"alpha solve failed at xi={xi}: {exc}", RuntimeWarning)
             solves.append(AlphaSolve(xi=xi, alpha=np.nan, residual=np.nan,
@@ -262,11 +265,6 @@ def alpha_curve(spec: ModelSpec, xi_grid, tol_root: float = 1e-3,
                       monotonicity_report=tuple(report))
 
 
-def _spawned(seed: int, index: int) -> int:
-    # distinct master seeds per grid point, deterministic in (seed, index)
-    return (seed * 0x9E3779B9 + index + 1) % (1 << 63)
-
-
 # ---------------------------------------------------------------------------
 # Contour grids (h over (parameter, s) with the h = 1 isoline)
 
@@ -287,10 +285,12 @@ def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
                  workers: int | None = None, clip_level: float = 2.0) -> ContourGrid:
     """h over a (b, s) or (eta, s) grid plus the h = 1 isoline.
 
-    eta-grids freeze one draw of H columns and reuse it across the whole
-    grid (xi only rescales the columns); b-grids redraw per column since b
-    changes the law. Values are clipped at ``clip_level`` for display; raw
-    values are kept alongside. Failed cells are recorded as NaN.
+    An eta-grid shares one frozen draw of H columns from ``seed`` across the
+    whole grid (xi only rescales the columns). A b-grid changes the law with
+    each column, so column i draws its own sample from the seed path
+    ``(seed, i)``. Within a column every s shares the v computed once.
+    Values are clipped at ``clip_level`` for display; raw values are kept
+    alongside. Failed cells are recorded as NaN.
     """
     if param not in ("b", "eta"):
         raise ValueError("param must be 'b' or 'eta'")
@@ -299,24 +299,19 @@ def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
     h = np.full((len(param_grid), len(s_grid)), np.nan)
     if param == "eta":
         cols = FirstColumnSample(spec, samples, seed, workers)
-        for i, eta in enumerate(param_grid):
-            xi = eta / spec.b
-            v = cols.v(xi)
-            for j, s in enumerate(s_grid):
-                h[i, j] = 1.0 if s == 0 else float(np.average(
-                    v ** s, weights=cols.weights))
-    else:
-        for i, b in enumerate(param_grid):
-            bi = int(round(b))
-            if bi != b or bi < 1:
-                warnings.warn(f"skipping non-integer batch size {b}", RuntimeWarning)
-                continue
-            spec_b = replace(spec, b=bi)
-            cols = FirstColumnSample(spec_b, samples, _spawned(seed, i), workers)
-            v = cols.v(spec_b.xi)
-            for j, s in enumerate(s_grid):
-                h[i, j] = 1.0 if s == 0 else float(np.average(
-                    v ** s, weights=cols.weights))
+    for i, p in enumerate(param_grid):
+        if param == "eta":
+            xi = p / spec.b
+        elif p != int(p) or p < 1:
+            warnings.warn(f"skipping non-integer batch size {p}", RuntimeWarning)
+            continue
+        else:
+            spec_b = replace(spec, b=int(p))
+            cols = FirstColumnSample(spec_b, samples, (seed, i), workers)
+            xi = spec_b.xi
+        v = cols.v(xi)
+        for j, s in enumerate(s_grid):
+            h[i, j] = 1.0 if s == 0 else float(np.average(v ** s, weights=cols.weights))
     isoline = marching_squares(np.asarray(param_grid), np.asarray(s_grid), h, 1.0)
     return ContourGrid(param_name=param, param_grid=param_grid, s_grid=s_grid,
                        h=h, h_clipped=np.minimum(h, clip_level), isoline=isoline,

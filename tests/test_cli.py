@@ -106,6 +106,14 @@ def test_unknown_subcommand_exits_2():
     ["simulate", "--model", "rank1gauss", "--eta", "0.5", "--workers", "0"],
     ["kcurve", "--model", "rank1gauss", "--eta", "0.5", "--samples", "-3"],
     ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--samples", "ten"],
+    ["simulate", "--model", "rank1gauss", "--eta", "0.5", "--n", "0"],
+    ["simulate", "--model", "rank1gauss", "--eta", "0.5", "--n", "-5"],
+    ["simulate", "--model", "rank1gauss", "--eta", "0.5", "--n-max", "0"],
+    ["lyapunov", "--model", "rank1gauss", "--eta", "0.5", "--method", "subadditive",
+     "--n", "0"],
+    ["kcurve", "--model", "rank1gauss", "--eta", "0.5", "--method", "product",
+     "--n", "0"],
+    ["tailbound", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "1", "--n", "0"],
 ])
 def test_non_positive_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

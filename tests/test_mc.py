@@ -57,6 +57,26 @@ def test_substream_independent_of_caller_state():
     assert np.array_equal(r1, r2)
 
 
+def _spawned_stream(root, spawn_key):
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(root, spawn_key=spawn_key)))
+
+
+def test_substream_int_seed_is_spawn_key_index():
+    for seed, index in ((0, 0), (7, 3), (2 ** 40, 1)):
+        assert np.array_equal(mc.substream(seed, index).random(8),
+                              _spawned_stream(seed, (index,)).random(8))
+
+
+def test_substream_seed_paths_are_distinct_streams():
+    # (root, *key) maps to spawn_key (*key, index)
+    assert np.array_equal(mc.substream((7, 2), 1).random(8),
+                          _spawned_stream(7, (2, 1)).random(8))
+    seeds = [(7, 0), (7, 1), ((7, 0), 0), ((7, 1), 0), ((7, 0), 1), ((7, 1), 1)]
+    draws = {mc.substream(*s).random(4).tobytes() for s in seeds}
+    assert len(draws) == len(seeds)
+
+
 def test_blocked_draws_match_single_call():
     # the samplers rely on numpy Generators being stream-sequential
     r1 = mc.substream(11, 0).standard_normal(200)

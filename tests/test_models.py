@@ -4,10 +4,9 @@ import pytest
 from heavytail import mc
 from heavytail.models import (ConfigurationError, DeterministicLaw,
                               GaussianVectorLaw, GoeLaw, MatrixMixtureLaw,
-                              ModelSpec, UnsupportedOperationError, Variant,
-                              VectorMixtureLaw, h_sum_support, pair_a,
-                              rank1_gauss, sample_h_columns, sample_h_raw,
-                              sample_h_sums, sample_pair, sample_pairs,
+                              ModelSpec, Variant, VectorMixtureLaw,
+                              h_sum_support, pair_a, rank1_gauss,
+                              sample_h_columns, sample_h_sums, sample_pairs,
                               spec_from_law_text, symm)
 
 MIX_LAW_TEXT = """\
@@ -46,16 +45,17 @@ def test_rank1gauss_rejects_law_parameters():
 def test_construction_identity_rank1gauss():
     # A + xi*H = I in construction order: A is exactly I - xi*H bit for bit
     spec = rank1_gauss(d=2, b=3, eta=0.6)
-    pair = sample_pair(spec, mc.substream(0))
-    assert np.array_equal(pair.A, pair_a(spec, pair.H))
-    assert np.array_equal(pair.A.T, pair.A)
-    assert np.allclose(pair.A + spec.xi * pair.H, np.eye(2), atol=1e-14)
+    h, _ = sample_pairs(spec, 1, mc.substream(0))
+    a = pair_a(spec, h)[0]
+    assert np.array_equal(a, np.eye(2) - spec.xi * h[0])
+    assert np.array_equal(a.T, a)
+    assert np.allclose(a + spec.xi * h[0], np.eye(2), atol=1e-14)
 
 
 def test_symm_deterministic_identity_case():
     spec = symm(d=3, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(3)))
-    pair = sample_pair(spec, mc.substream(1))
-    assert np.array_equal(pair.A, 0.5 * np.eye(3))
+    h, _ = sample_pairs(spec, 1, mc.substream(1))
+    assert np.array_equal(pair_a(spec, h)[0], 0.5 * np.eye(3))
 
 
 def test_chi2_moments_of_unscaled_diagonal():
@@ -71,17 +71,11 @@ def test_sample_h_raw_direct_products():
     # d=2, b=1: H = a a^T is the rank-one projection of the drawn vector
     spec = rank1_gauss(d=2, b=1, eta=1.0)
     rng = mc.substream(3)
-    h = sample_h_raw(spec, rng)
+    h = sample_h_sums(spec, 1, rng)[0]
     rng2 = mc.substream(3)
     a = rng2.standard_normal((1, 1, 2))[0, 0]
     assert np.allclose(h, np.outer(a, a))
     assert np.linalg.matrix_rank(h) == 1
-
-
-def test_sample_h_raw_rejects_symm():
-    spec = symm(d=1, b=1, eta=1.0, h_law=DeterministicLaw(np.eye(1)))
-    with pytest.raises(UnsupportedOperationError):
-        sample_h_raw(spec, mc.substream(0))
 
 
 def test_offdiagonal_factorization_matches_resampled_form():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from heavytail import mc, recursion
 from heavytail.cli import main
-from heavytail.linalg import batch_operator_norms, operator_norm
+from heavytail.linalg import batch_operator_norms, operator_norm, row_norms
 from heavytail.models import (ConfigurationError, DeterministicLaw,
                               MatrixMixtureLaw, VectorMixtureLaw, pair_a,
                               rank1_gauss, sample_pairs, symm)
@@ -168,6 +169,36 @@ def test_sample_r_non_contraction_warning(tmp_path, capsys):
     assert "3/3 trajectories did not contract" in capsys.readouterr().err
     rows = out.read_text().strip().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["50"] * 3
+
+
+def test_abs_r_finite_where_its_square_overflows(tmp_path):
+    # A = -9 I: |R_300| ~ 9^300 ~ 1e286 is finite, |R|^2 is not
+    out = tmp_path / "sim.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--model", "symm-det-identity", "--d", "2",
+                     "--eta", "10", "--samples", "2", "--n-max", "300",
+                     "--out", str(out)])
+    assert code == 0
+    for row in out.read_text().strip().splitlines()[1:]:
+        _, n, r1, r2, abs_r, _ = (float(x) for x in row.split(","))
+        assert n == 300
+        assert 1e154 < abs_r < np.inf
+        assert abs_r == pytest.approx(np.hypot(r1, r2), rel=1e-15)
+
+
+def test_partial_sum_norms_finite_where_square_overflows():
+    spec = symm(d=2, b=1, eta=10.0, h_law=DeterministicLaw(np.eye(2)))
+    vals = partial_sum_norms(spec, [10, 300], 3, mc.substream(12))
+    assert np.isfinite(vals).all() and (vals[:, 1] > 1e154).all()
+
+
+def test_row_norms_keep_plain_bits_below_overflow():
+    x = mc.substream(13).standard_normal((1000, 3)) * 10.0 ** np.arange(-100, 150, 0.25)[:, None]
+    assert np.array_equal(row_norms(x), np.sqrt((x * x).sum(axis=1)))
+    big = np.array([[1e300, -1e300], [3e200, 4e200], [np.inf, 1.0]])
+    assert np.allclose(row_norms(big)[:2], np.hypot(big[:2, 0], big[:2, 1]), rtol=1e-15)
+    assert row_norms(big)[2] == np.inf
 
 
 def test_sample_r_stationary_mean_zero_d1():

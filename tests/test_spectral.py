@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from heavytail import mc
-from heavytail.models import (DeterministicLaw, MatrixMixtureLaw, rank1_gauss,
-                              symm)
+from heavytail.models import (DeterministicLaw, MatrixMixtureLaw, h_sum_support,
+                              rank1_gauss, symm)
 from heavytail.spectral import (CurveMethod, FirstColumnSample, LyapunovMethod,
                                 dh_ds, h_closed_form, k_product_limit, lyapunov,
                                 quadrature_oracle_d1, spectral_curve)
@@ -225,6 +225,23 @@ def test_exact_backend_for_finite_mixture():
     for s in (0.5, 1.0, 2.0):
         assert cols.h(s).mean == pytest.approx((0.5 ** s + 1.5 ** s) / 2, rel=1e-15)
         assert cols.h(s).stderr == 0.0
+
+
+def test_direction_on_finite_support_is_exact():
+    # non-scalar atoms, b = 2: h in direction u is the weighted sum over the
+    # three-point sum support of |(I - xi*H) u|^s, with stderr 0
+    law = MatrixMixtureLaw((np.diag([0.5, 2.0]), np.array([[1.0, 0.5], [0.5, 1.0]])),
+                           (0.3, 0.7))
+    spec = symm(d=2, b=2, eta=0.6, h_law=law)
+    u = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    cols = FirstColumnSample(spec, 10, seed=23, direction=[1.0, 1.0])
+    assert cols.exact and cols.n == 3
+    for s in (0.5, 1.5):
+        exact = sum(p * np.linalg.norm(u - spec.xi * h @ u) ** s
+                    for h, p in h_sum_support(spec))
+        est = cols.h(s)
+        assert est.stderr == 0.0
+        assert est.mean == pytest.approx(exact, rel=1e-14)
 
 
 def test_subadditive_stderr_scaling():

@@ -3,10 +3,12 @@ import pytest
 
 from heavytail.models import (DeterministicLaw, MatrixMixtureLaw, rank1_gauss,
                               symm)
+from heavytail import tailsolver
 from heavytail.spectral import FirstColumnSample, quadrature_oracle_d1
-from heavytail.tailsolver import (RangeError, SolveStatus, alpha_curve,
-                                  contour_grid, marching_squares, solve_alpha,
-                                  solve_xi1)
+from heavytail.tailsolver import (XI1_REFINE_SAMPLES, XI1_REFINE_TOL,
+                                  XI1_REFINE_WINDOW, RangeError, SolveStatus,
+                                  alpha_curve, contour_grid, marching_squares,
+                                  solve_alpha, solve_xi1)
 
 
 def mixture_spec(eta=1.0, b=1):
@@ -92,6 +94,34 @@ def test_alpha_curve_mixture_decreasing():
 def test_alpha_curve_at_xi1_returns_one():
     curve = alpha_curve(mixture_spec(), [1.0], samples=100, seed=9)
     assert curve.solves[0].alpha == pytest.approx(1.0, abs=1e-3)
+
+
+def test_alpha_curve_shares_one_sample_outside_and_one_inside_window(monkeypatch):
+    # continuous law: xi_1 and every point outside the refine window are
+    # solved on the same frozen columns; the points inside share one 4x sample
+    built = []
+
+    class Recorded(FirstColumnSample):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self.n, self.seed))
+
+    monkeypatch.setattr(tailsolver, "FirstColumnSample", Recorded)
+    spec = rank1_gauss(d=2, b=8, eta=1.5)
+    grid = [0.12, 0.16, 0.205, 0.21, 0.215, 0.24]
+    curve = alpha_curve(spec, grid, samples=20_000, seed=40)
+    assert built == [(20_000, 40), (20_000 * XI1_REFINE_SAMPLES, 40)]
+
+    cols = FirstColumnSample(spec, 20_000, seed=40)
+    refined = FirstColumnSample(spec, 20_000 * XI1_REFINE_SAMPLES, seed=40)
+    assert curve.xi1 == solve_xi1(spec, cols=cols)
+    inside = [abs(xi - curve.xi1) <= XI1_REFINE_WINDOW * curve.xi1 for xi in grid]
+    assert inside == [False, False, True, True, True, False]
+    for xi, near, got in zip(grid, inside, curve.solves):
+        want = (solve_alpha(spec, tol_root=1e-3 * XI1_REFINE_TOL, cols=refined, xi=xi)
+                if near else solve_alpha(spec, cols=cols, xi=xi))
+        assert got.status is SolveStatus.CONVERGED
+        assert got == want
 
 
 def test_alpha_below_one_past_xi1():
