@@ -10,9 +10,8 @@ from .recursion import (ProductState, StationaryBatch, StopRule, StopStatus,
                         finite_iteration_tail, moment_growth_curve,
                         sample_r_batch)
 from .spectral import (CurveMethod, FirstColumnSample, LyapunovEstimate,
-                       LyapunovMethod, SpectralCurve, dh_ds, h_closed_form,
-                       k_product_limit, lyapunov, quadrature_oracle_d1,
-                       spectral_curve)
+                       LyapunovMethod, ProductSample, SpectralCurve, lyapunov,
+                       quadrature_oracle_d1, spectral_curve)
 from .tailsolver import (AlphaCurve, AlphaSolve, ContourGrid, RangeError,
                          SolveStatus, alpha_curve, contour_grid,
                          marching_squares, solve_alpha, solve_xi1)

@@ -302,9 +302,13 @@ def _cmd_kcurve(args) -> int:
               else spectral.CurveMethod.PRODUCT_LIMIT)
     curve = spectral.spectral_curve(spec, s_grid, args.samples, args.seed,
                                     method=method, n=args.n, workers=args.workers)
+    header = ["s", "estimate", "stderr", "method", "n_used"]
     rows = [[s, est.mean, est.stderr, curve.method.value, est.n]
             for s, est in zip(curve.s_grid, curve.values)]
-    _write_csv(args.out, ["s", "estimate", "stderr", "method", "n_used"], rows)
+    if curve.ratios:
+        header += ["ratio", "ratio_stderr"]
+        rows = [row + [r.mean, r.stderr] for row, r in zip(rows, curve.ratios)]
+    _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
@@ -403,23 +407,21 @@ def _cmd_operator(args) -> int:
 
 def _cmd_tailfit(args) -> int:
     spec = _build_spec(args)
+    fracs = [float(f) for f in args.k_fracs.replace(",", " ").split()]
+    if not fracs:
+        raise ConfigurationError("--k-fracs is empty")
     rng = mc.substream(args.seed, 0)
     batch = recursion.sample_r_batch(spec, args.samples, rng)
-    abs_r = batch.abs_r
-    fracs = [float(f) for f in args.k_fracs.replace(",", " ").split()]
-    rows = []
-    mid = None
-    for f in fracs:
-        fit = empirics.hill_estimate(abs_r, max(int(len(abs_r) * f), 2))
-        rows.append([f, fit.k_order, fit.alpha_hat, fit.ci[0], fit.ci[1],
-                     fit.amplitude])
-        if mid is None or abs(f - 0.01) < abs(mid[0] - 0.01):
-            mid = (f, fit)
+    fits = empirics.hill_stability_scan(batch.abs_r, fracs)
+    rows = [[f, fit.k_order, fit.alpha_hat, fit.ci[0], fit.ci[1], fit.amplitude]
+            for f, fit in zip(fracs, fits)]
     _write_csv(args.out,
                ["k_frac", "k_order", "alpha_hat", "ci_lo", "ci_hi", "amplitude"],
                rows)
-    print(f"alpha_hat = {mid[1].alpha_hat:.4g} "
-          f"(k = {mid[1].k_order}, 95% CI [{mid[1].ci[0]:.4g}, {mid[1].ci[1]:.4g}])")
+    # the fit whose fraction is nearest 1% (the first of equals) is printed
+    mid = fits[min(range(len(fracs)), key=lambda i: abs(fracs[i] - 0.01))]
+    print(f"alpha_hat = {mid.alpha_hat:.4g} "
+          f"(k = {mid.k_order}, 95% CI [{mid.ci[0]:.4g}, {mid.ci[1]:.4g}])")
     return EXIT_OK
 
 

@@ -7,12 +7,16 @@ Three routes are provided and cross-checked elsewhere:
 * product limit: (E||A_n ... A_1||^s)^(1/n) evaluated at finite n. By the
   bound E||Pi_m||^s <= C_s k(s)^m the finite-n value overestimates k(s)
   (by at most C_s^(1/n)), and it is decreasing in n up to noise, so the
-  n-sequence should be reported rather than one extrapolated number.
+  n-sequence should be reported rather than one extrapolated number. The
+  ratio (E||Pi_n||^s / E||Pi_m||^s)^(1/(n-m)) at m = n // 2 cancels the
+  prefactor C in E||Pi_n||^s ~ C k(s)^n and is reported beside it.
 * quadrature: deterministic oracles for the d=1, b=1 Gaussian reduction.
 
-Curve evaluations over an s-grid reuse one frozen draw of H (common random
-numbers) so that convexity checks and root finding see a smooth function of
-s; finite-support H laws are enumerated exactly (stderr 0) instead.
+Curve evaluations over an s-grid reuse one frozen draw (common random
+numbers): of H columns for the closed form, of product log-norms for the
+product limit. So convexity checks and root finding see a smooth function
+of s. Finite-support H laws are enumerated exactly (stderr 0) by the closed
+form instead.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class SpectralCurve:
     values: tuple[mc.McEstimate, ...]
     method: CurveMethod
     s0_hint: float = np.inf  # supremum of the finite-moment domain, if known
+    ratios: tuple[mc.McEstimate, ...] = ()  # product limit: ProductSample.ratio
 
 
 @dataclass(frozen=True)
@@ -162,28 +167,102 @@ class FirstColumnSample:
         return self._moment(self.u @ self.cols, "non-finite")
 
 
-def h_closed_form(spec: ModelSpec, s: float, samples: int, seed: int,
-                  workers: int | None = None,
-                  direction: np.ndarray | None = None) -> mc.McEstimate:
-    """E|(I - xi*H) e_1|^s; equals k(s) for rotation-invariant H laws."""
-    _warn_if_not_rotation_invariant(spec, "h_closed_form")
-    cols = FirstColumnSample(spec, samples, seed, workers, direction=direction)
-    return cols.h(s)
+def product_log_norms(spec: ModelSpec, n: int, draws: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """log ||A_1 ... A_m|| and log ||A_1 ... A_n|| per draw, m = n // 2, as the
+    two columns of a (draws, 2) array; exact in the log domain
+    (``ProductState``). ||Pi_0|| = 1, so the first column is 0 when n = 1."""
+    state = ProductState(spec.d, draws)
+    logs = np.zeros((draws, 2))
+    for step in range(1, n + 1):
+        h, _b = sample_pairs(spec, draws, rng)
+        state.step(pair_a(spec, h))
+        if step in (n // 2, n):
+            logs[:, int(step == n)] = state.log_scale + np.log(
+                np.maximum(batch_operator_norms(state.pi), 1e-300))
+    return logs
 
 
-def dh_ds(spec: ModelSpec, s: float, samples: int, seed: int,
-          workers: int | None = None) -> mc.McEstimate:
-    """s-derivative of the closed form; at s=0 this is the Lyapunov exponent."""
-    _warn_if_not_rotation_invariant(spec, "dh_ds")
-    cols = FirstColumnSample(spec, samples, seed, workers)
-    return cols.dh_ds(s)
+def _log_mean_exp(sl: np.ndarray) -> tuple[float, np.ndarray]:
+    """log E e^sl and the shifted terms x = e^(sl - max sl), whose mean is
+    E e^sl / e^(max sl); the shift keeps huge ||Pi||^s finite."""
+    shift = sl.max()
+    x = np.exp(sl - shift)
+    return float(shift + np.log(x.mean())), x
+
+
+class ProductSample:
+    """Frozen draw of log ||Pi_n|| and log ||Pi_m||, m = n // 2, the
+    product-side common-random-numbers core: one draw serves every s.
+
+    ``k(s)`` is the finite-n product limit (E ||Pi_n||^s)^(1/n), biased upward
+    by the prefactor C in E ||Pi_n||^s ~ C k(s)^n. ``ratio(s)`` is
+    (E ||Pi_n||^s / E ||Pi_m||^s)^(1/(n-m)), in which C cancels. ``gamma()`` is
+    the subadditive Lyapunov estimate, the mean of log ||Pi_n|| / n.
+    """
+
+    def __init__(self, spec: ModelSpec, n: int, samples: int, seed: mc.Seed,
+                 workers: int | None = None):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        self.n, self.m, self.seed = n, n // 2, seed
+        self.workers = mc.resolve_workers(workers)
+
+        def task(rng, draws):
+            return product_log_norms(spec, n, draws, rng)
+
+        logs = mc.parallel_map(task, samples, seed, self.workers).reshape(-1, 2)
+        self.log_m = np.ascontiguousarray(logs[:, 0])
+        self.log_n = np.ascontiguousarray(logs[:, 1])
+        self.draws = len(self.log_n)
+
+    def _estimate(self, mean: float, stderr: float) -> mc.McEstimate:
+        return mc.McEstimate(mean, stderr, self.draws, 0, self.seed, self.workers)
+
+    def k(self, s: float) -> mc.McEstimate:
+        """(E ||Pi_n||^s)^(1/n); the stderr is the delta method on the mean."""
+        if s < 0:
+            raise ValueError(f"s must be >= 0, got {s}")
+        if s == 0:
+            return self._estimate(1.0, 0.0)
+        log_mean, x = _log_mean_exp(s * self.log_n)
+        k_hat = float(np.exp(log_mean / self.n))
+        # delta method: k = (E X)^(1/n) with relative error of the mean / n
+        rel_se = x.std(ddof=1) / np.sqrt(len(x)) / x.mean() if len(x) > 1 else 0.0
+        return self._estimate(k_hat, float(k_hat * rel_se / self.n))
+
+    def ratio(self, s: float) -> mc.McEstimate:
+        """(E ||Pi_n||^s / E ||Pi_m||^s)^(1/(n-m)); NaN for n < 2.
+
+        The stderr is the delta method on the paired per-draw terms
+        x_i / mean(x) - y_i / mean(y) of the two shifted moments.
+        """
+        if s < 0:
+            raise ValueError(f"s must be >= 0, got {s}")
+        if self.n < 2:
+            return self._estimate(np.nan, np.nan)
+        log_mean_n, x = _log_mean_exp(s * self.log_n)
+        log_mean_m, y = _log_mean_exp(s * self.log_m)
+        steps = self.n - self.m
+        r_hat = float(np.exp((log_mean_n - log_mean_m) / steps))
+        z = x / x.mean() - y / y.mean()
+        rel_se = z.std(ddof=1) / np.sqrt(len(z)) if len(z) > 1 else 0.0
+        return self._estimate(r_hat, float(r_hat * rel_se / steps))
+
+    def gamma(self) -> mc.McEstimate:
+        """Mean of log ||Pi_n|| / n over the draws."""
+        return mc.estimate_from_values(self.log_n / self.n, seed=self.seed,
+                                       workers=self.workers)
 
 
 def spectral_curve(spec: ModelSpec, s_grid, samples: int, seed: int,
                    method: CurveMethod = CurveMethod.CLOSED_FORM,
                    n: int = 40, workers: int | None = None,
                    s_max: float = S_MAX_DEFAULT) -> SpectralCurve:
-    """k(s) over an s-grid; closed-form grids share one frozen draw (CRN)."""
+    """k(s) over an s-grid; every s shares one frozen draw (CRN).
+
+    Product-limit curves also carry the ratio estimate per s in ``ratios``.
+    """
     s_grid = tuple(float(s) for s in s_grid)
     flagged = [s for s in s_grid if s > s_max]
     if flagged:
@@ -196,53 +275,16 @@ def spectral_curve(spec: ModelSpec, s_grid, samples: int, seed: int,
         _warn_if_not_rotation_invariant(spec, "closed-form curve")
         cols = FirstColumnSample(spec, samples, seed, workers)
         values = tuple(nan_est if s in capped else cols.h(s) for s in s_grid)
+        ratios = ()
     elif method is CurveMethod.PRODUCT_LIMIT:
-        values = tuple(nan_est if s in capped else
-                       k_product_limit(spec, s, n, samples, seed, workers)
-                       for s in s_grid)
+        products = ProductSample(spec, n, samples, seed, workers)
+        values = tuple(nan_est if s in capped else products.k(s) for s in s_grid)
+        ratios = tuple(nan_est if s in capped else products.ratio(s) for s in s_grid)
     else:
         raise ValueError("quadrature curves are produced by quadrature_oracle_d1")
     # every built-in law has light-tailed ||A||, so the moment domain is [0, inf)
-    return SpectralCurve(s_grid=s_grid, values=values, method=method, s0_hint=np.inf)
-
-
-def product_log_norms(spec: ModelSpec, n: int, draws: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """log ||A_1 ... A_n|| per draw, exact in the log domain (``ProductState``)."""
-    state = ProductState(spec.d, draws)
-    for _ in range(n):
-        h, _b = sample_pairs(spec, draws, rng)
-        state.step(pair_a(spec, h))
-    return state.log_scale + np.log(np.maximum(batch_operator_norms(state.pi), 1e-300))
-
-
-def k_product_limit(spec: ModelSpec, s: float, n: int, samples: int, seed: int,
-                    workers: int | None = None) -> mc.McEstimate:
-    """(E ||Pi_n||^s)^(1/n), accumulated in the log domain to avoid overflow.
-
-    Finite n biases the value upward (submultiplicativity); the sequence in
-    n decreases toward k(s) up to Monte-Carlo noise.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    workers_used = mc.resolve_workers(workers)
-
-    def task(rng, m):
-        return product_log_norms(spec, n, m, rng)
-
-    log_norms = mc.parallel_map(task, samples, seed, workers_used)
-    if s == 0:
-        return mc.McEstimate(1.0, 0.0, len(log_norms), 0, seed, workers_used)
-    sl = s * log_norms
-    shift = sl.max()
-    x = np.exp(sl - shift)           # E||Pi||^s = e^shift * mean(x)
-    mean_x = x.mean()
-    k_hat = float(np.exp((shift + np.log(mean_x)) / n))
-    # delta method: k = (E X)^(1/n) with relative error of the mean / n
-    rel_se = x.std(ddof=1) / np.sqrt(len(x)) / mean_x if len(x) > 1 else 0.0
-    return mc.McEstimate(k_hat, float(k_hat * rel_se / n), len(x), 0, seed, workers_used)
+    return SpectralCurve(s_grid=s_grid, values=values, method=method, s0_hint=np.inf,
+                         ratios=ratios)
 
 
 def lyapunov(spec: ModelSpec, method: LyapunovMethod = LyapunovMethod.CLOSED_FORM,
@@ -258,11 +300,7 @@ def lyapunov(spec: ModelSpec, method: LyapunovMethod = LyapunovMethod.CLOSED_FOR
         _warn_if_not_rotation_invariant(spec, "closed-form Lyapunov exponent")
         est = FirstColumnSample(spec, samples, seed, workers).gamma()
         return LyapunovEstimate(est.mean, est.stderr, method, est.n, est.skipped)
-
-    def task(rng, m):
-        return product_log_norms(spec, n, m, rng) / n
-
-    est = mc.parallel_mean(task, samples, seed, workers)
+    est = ProductSample(spec, n, samples, seed, workers).gamma()
     return LyapunovEstimate(est.mean, est.stderr, method, est.n, est.skipped)
 
 

@@ -31,6 +31,7 @@ class SolveStatus(str, Enum):
     CONVERGED = "converged"
     NO_ROOT_BELOW_S_MAX = "no_root_below_s_max"
     GAMMA_NON_NEGATIVE = "gamma_non_negative"
+    FAILED = "failed"              # the solver raised; recorded by alpha_curve
 
 
 class RangeError(RuntimeError):
@@ -238,14 +239,17 @@ def alpha_curve(spec: ModelSpec, xi_grid, tol_root: float = 1e-3,
             tol, point_cols = tol_root * XI1_REFINE_TOL, refined
         try:
             solves.append(solve_alpha(spec, tol_root=tol, cols=point_cols, xi=xi))
-        except Exception as exc:  # per-point failures recorded, curve continues
+        except (RangeError, ValueError, ArithmeticError) as exc:
+            # a numerical failure is recorded and the curve continues; any
+            # other exception is a bug and propagates
             warnings.warn(f"alpha solve failed at xi={xi}: {exc}", RuntimeWarning)
             solves.append(AlphaSolve(xi=xi, alpha=np.nan, residual=np.nan,
                                      bracket=(np.nan, np.nan), stderr_alpha=np.nan,
-                                     status=SolveStatus.NO_ROOT_BELOW_S_MAX))
+                                     status=SolveStatus.FAILED))
     report = []
     for left, right in zip(solves, solves[1:]):
-        # a no-root point means the root lies beyond s_max: order it as +inf
+        # a no-root point means the root lies beyond s_max: order it as +inf;
+        # a failed point has no order (NaN)
         def effective(s: AlphaSolve) -> float:
             if s.status is SolveStatus.CONVERGED:
                 return s.alpha

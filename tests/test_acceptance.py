@@ -20,8 +20,7 @@ from heavytail.models import MatrixMixtureLaw, rank1_gauss, symm
 from heavytail.recursion import moment_growth_curve, finite_iteration_tail, \
     partial_sum_norms, sample_r_batch
 from heavytail.spectral import (FirstColumnSample, LyapunovMethod,
-                                h_closed_form, k_product_limit, lyapunov,
-                                quadrature_oracle_d1)
+                                ProductSample, lyapunov, quadrature_oracle_d1)
 from heavytail.tailsolver import SolveStatus, solve_alpha, solve_xi1
 from heavytail.transferop import (build_operator,
                                   eigenfunction_representation_check,
@@ -49,8 +48,8 @@ def test_criterion_01_closed_form_matches_quadrature():
     for i, eta in enumerate((0.1, 0.3, 0.5)):
         for j, s in enumerate((0.5, 1.0, 2.0)):
             t0 = time.time()
-            est = h_closed_form(rank1_gauss(1, 1, eta), s, samples=1_000_000,
-                                seed=100 + 10 * i + j)
+            est = FirstColumnSample(rank1_gauss(1, 1, eta), 1_000_000,
+                                    seed=100 + 10 * i + j).h(s)
             oracle = quadrature_oracle_d1(eta, "s", s)
             elapsed = time.time() - t0
             slowest = max(slowest, elapsed)
@@ -65,8 +64,8 @@ def test_criterion_01_closed_form_matches_quadrature():
 
 def test_criterion_02_product_limit_vs_closed_form():
     t0 = time.time()
-    href = h_closed_form(D2B8, 1.0, samples=1_000_000, seed=200)
-    kprod = k_product_limit(D2B8, 1.0, n=40, samples=100_000, seed=201)
+    href = FirstColumnSample(D2B8, 1_000_000, seed=200).h(1.0)
+    kprod = ProductSample(D2B8, n=40, samples=100_000, seed=201).k(1.0)
     elapsed = time.time() - t0
     rel = (kprod.mean - href.mean) / href.mean
     ok = rel <= 0.02 and elapsed < 120.0
@@ -198,7 +197,7 @@ OP_SAMPLES = 20_000
 
 @pytest.fixture(scope="module")
 def operator_setup():
-    href = h_closed_form(D2B8, 1.0, samples=2_000_000, seed=HREF_SEED)
+    href = FirstColumnSample(D2B8, 2_000_000, seed=HREF_SEED).h(1.0)
     op256 = build_operator(D2B8, s=1.0, n_bins=256, samples=OP_SAMPLES,
                            seed=OP_SEED_A)
     spec256 = power_iterate(op256)

@@ -48,6 +48,19 @@ def test_kcurve_deterministic_identity(tmp_path, capsys):
     assert estimates == [1.0, 0.5, 0.25, 0.125, 0.0625]
 
 
+def test_kcurve_product_adds_ratio_columns(tmp_path):
+    out = tmp_path / "k.csv"
+    code = run_cli(["kcurve", "--model", "symm-det-identity", "--eta", "0.5",
+                    "--b", "1", "--method", "product", "--n", "6", "--samples", "10",
+                    "--s-grid", "0:1:2", "--out", out])
+    assert code == EXIT_OK
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "s,estimate,stderr,method,n_used,ratio,ratio_stderr"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(r[1]) for r in rows] == pytest.approx([1.0, 0.5, 0.25], rel=1e-12)
+    assert [float(r[5]) for r in rows] == pytest.approx([1.0, 0.5, 0.25], rel=1e-12)
+
+
 def test_simulate_csv_columns(tmp_path):
     out = tmp_path / "sim.csv"
     code = run_cli(["simulate", "--model", "rank1gauss", "--d", "2", "--b", "4",
@@ -158,6 +171,13 @@ def test_tailfit_summary(tmp_path, capsys):
     assert code == EXIT_OK
     assert out.read_text().startswith("k_frac,k_order,alpha_hat,ci_lo,ci_hi")
     assert "alpha_hat" in capsys.readouterr().out
+
+
+def test_tailfit_empty_fractions_exit_2(tmp_path, capsys):
+    code = run_cli(["tailfit", "--model", "rank1gauss", "--eta", "0.5",
+                    "--samples", "10", "--k-fracs", "", "--out", tmp_path / "f.csv"])
+    assert code == EXIT_CONFIG
+    assert "--k-fracs is empty" in capsys.readouterr().err
 
 
 def test_angular_report(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heavytail import mc
 from heavytail.models import (DeterministicLaw, MatrixMixtureLaw, h_sum_support,
                               rank1_gauss, symm)
+from heavytail import spectral
 from heavytail.spectral import (CurveMethod, FirstColumnSample, LyapunovMethod,
-                                dh_ds, h_closed_form, k_product_limit, lyapunov,
-                                quadrature_oracle_d1, spectral_curve)
+                                ProductSample, lyapunov, quadrature_oracle_d1,
+                                spectral_curve)
 
 
 # --- quadrature oracle -------------------------------------------------------
@@ -45,21 +48,21 @@ def test_h_closed_form_xi_zero_is_one():
 def test_h_closed_form_deterministic_identity():
     # H = I, xi = 0.5: |0.5 e_1|^2 = 0.25 with zero variance
     spec = symm(d=3, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(3)))
-    est = h_closed_form(spec, 2.0, samples=10, seed=0)
+    est = FirstColumnSample(spec, 10, seed=0).h(2.0)
     assert est.mean == pytest.approx(0.25, rel=1e-15)
     assert est.stderr == 0.0
 
 
 def test_h_closed_form_s0_exactly_one():
     for spec in (rank1_gauss(1, 1, 0.5), rank1_gauss(3, 2, 0.7)):
-        est = h_closed_form(spec, 0.0, samples=1000, seed=3)
+        est = FirstColumnSample(spec, 1000, seed=3).h(0.0)
         assert est.mean == 1.0
         assert est.stderr == 0.0
 
 
 def test_h_closed_form_matches_quadrature_d1():
     spec = rank1_gauss(d=1, b=1, eta=0.5)
-    est = h_closed_form(spec, 1.0, samples=500_000, seed=4)
+    est = FirstColumnSample(spec, 500_000, seed=4).h(1.0)
     oracle = quadrature_oracle_d1(0.5, "s", 1.0)
     assert abs(est.mean - oracle) < 4 * est.stderr
 
@@ -68,21 +71,21 @@ def test_h_closed_form_warns_off_rotation_invariance():
     law = DeterministicLaw(np.diag([1.0, 2.0]))
     spec = symm(d=2, b=1, eta=0.5, h_law=law)
     with pytest.warns(RuntimeWarning, match="rotation-invariant"):
-        h_closed_form(spec, 1.0, samples=10, seed=0)
+        spectral_curve(spec, [1.0], 10, seed=0)
 
 
 def test_h_negative_s_rejected():
     spec = rank1_gauss(1, 1, 0.5)
     with pytest.raises(ValueError):
-        h_closed_form(spec, -0.5, samples=10, seed=0)
+        FirstColumnSample(spec, 10, seed=0).h(-0.5)
 
 
 def test_closed_form_direction_invariance():
     # replacing e_1 by another unit direction moves the estimate < 4 stderr
     spec = rank1_gauss(d=3, b=2, eta=0.4)
-    e1 = h_closed_form(spec, 1.5, samples=200_000, seed=5)
+    e1 = FirstColumnSample(spec, 200_000, seed=5).h(1.5)
     u = np.array([1.0, -2.0, 0.5])
-    eu = h_closed_form(spec, 1.5, samples=200_000, seed=6, direction=u)
+    eu = FirstColumnSample(spec, 200_000, seed=6, direction=u).h(1.5)
     assert abs(e1.mean - eu.mean) < 4 * e1.combined_stderr(eu)
 
 
@@ -102,17 +105,17 @@ def test_log_convexity_on_common_stream():
 def test_k_product_limit_deterministic():
     spec = symm(d=2, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(2)))
     for s in (0.5, 1.0, 3.0):
-        est = k_product_limit(spec, s, n=7, samples=20, seed=8)
+        est = ProductSample(spec, n=7, samples=20, seed=8).k(s)
         assert est.mean == pytest.approx(0.5 ** s, rel=1e-12)
-    assert k_product_limit(spec, 0.0, n=3, samples=5, seed=8).mean == 1.0
+    assert ProductSample(spec, n=3, samples=5, seed=8).k(0.0).mean == 1.0
 
 
 def test_k_product_limit_decreases_toward_closed_form():
     spec = rank1_gauss(d=2, b=8, eta=0.3)
-    href = h_closed_form(spec, 1.0, samples=400_000, seed=9).mean
+    href = FirstColumnSample(spec, 400_000, seed=9).h(1.0).mean
     prev = np.inf
     for n in (5, 10, 20, 40):
-        est = k_product_limit(spec, 1.0, n=n, samples=30_000, seed=9)
+        est = ProductSample(spec, n=n, samples=30_000, seed=9).k(1.0)
         assert est.mean <= prev + 5 * est.stderr  # decreasing up to noise
         prev = est.mean
     assert (prev - href) / href < 0.02
@@ -122,8 +125,69 @@ def test_k_product_limit_decreases_toward_closed_form():
 def test_k_product_limit_log_domain_no_overflow():
     # strongly expanding deterministic model: ||Pi_n||^s would overflow
     spec = symm(d=1, b=1, eta=1.0, h_law=DeterministicLaw(-9.0 * np.eye(1)))
-    est = k_product_limit(spec, 30.0, n=50, samples=10, seed=10)
+    est = ProductSample(spec, n=50, samples=10, seed=10).k(30.0)
     assert est.mean == pytest.approx(10.0 ** 30, rel=1e-9)
+
+
+def test_product_log_norms_records_the_half_length_product():
+    # the first n // 2 steps draw the same numbers as a product of that length
+    spec = rank1_gauss(d=2, b=3, eta=0.6)
+    full = spectral.product_log_norms(spec, 9, 50, mc.substream(24))
+    half = spectral.product_log_norms(spec, 4, 50, mc.substream(24))
+    assert full.shape == (50, 2)
+    assert np.array_equal(full[:, 0], half[:, 1])
+    assert np.array_equal(spectral.product_log_norms(spec, 1, 5, mc.substream(24))[:, 0],
+                          np.zeros(5))
+
+
+def test_product_ratio_deterministic_and_nan_below_two():
+    spec = symm(d=2, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(2)))
+    products = ProductSample(spec, n=7, samples=20, seed=8)
+    for s in (0.5, 1.0, 3.0):
+        assert products.ratio(s).mean == pytest.approx(0.5 ** s, rel=1e-12)
+    assert products.ratio(0.0).mean == 1.0
+    short = ProductSample(spec, n=1, samples=5, seed=8).ratio(1.0)
+    assert np.isnan(short.mean) and np.isnan(short.stderr)
+
+
+def test_product_ratio_cancels_the_prefactor():
+    # rotation invariance: k(2) = h(xi, 2) = 1 - 2 xi b + xi^2 (b^2 + (d + 1) b)
+    d, b, eta = 2, 8, 0.3
+    spec = rank1_gauss(d, b, eta)
+    exact = 1 - 2 * spec.xi * b + spec.xi ** 2 * (b * b + (d + 1) * b)
+    assert exact == pytest.approx(0.52375, rel=1e-12)
+    products = ProductSample(spec, n=40, samples=100_000, seed=3)
+    k40, ratio = products.k(2.0), products.ratio(2.0)
+    assert abs(ratio.mean - exact) < 4 * ratio.stderr
+    assert k40.mean - exact > 4 * k40.stderr
+
+
+def test_product_curve_equals_a_separate_sample_bit_for_bit():
+    spec = rank1_gauss(d=2, b=4, eta=0.4)
+    curve = spectral_curve(spec, [0.5, 1.0, 2.5], 2000, seed=23,
+                           method=CurveMethod.PRODUCT_LIMIT, n=12, workers=2)
+    products = ProductSample(spec, n=12, samples=2000, seed=23, workers=2)
+    assert curve.values == tuple(products.k(s) for s in curve.s_grid)
+    assert curve.ratios == tuple(products.ratio(s) for s in curve.s_grid)
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=12),
+       workers=st.integers(1, 3))
+def test_product_curve_draws_once_per_worker(grid, workers):
+    calls = []
+    real = spectral.product_log_norms
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "product_log_norms", counted)
+        curve = spectral_curve(rank1_gauss(2, 2, 0.5), grid, 12, seed=25,
+                               method=CurveMethod.PRODUCT_LIMIT, n=4, workers=workers)
+    assert len(calls) == workers
+    assert len(curve.values) == len(curve.ratios) == len(grid)
 
 
 # --- Lyapunov ----------------------------------------------------------------
@@ -186,7 +250,7 @@ def test_dh_ds_at_zero_equals_gamma_same_stream():
 def test_dh_ds_deterministic():
     spec = symm(d=2, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(2)))
     for s in (0.5, 1.0, 2.0):
-        est = dh_ds(spec, s, samples=10, seed=18)
+        est = FirstColumnSample(spec, 10, seed=18).dh_ds(s)
         assert est.mean == pytest.approx(0.5 ** s * np.log(0.5), rel=1e-12)
 
 

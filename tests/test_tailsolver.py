@@ -96,6 +96,33 @@ def test_alpha_curve_at_xi1_returns_one():
     assert curve.solves[0].alpha == pytest.approx(1.0, abs=1e-3)
 
 
+def test_alpha_curve_records_a_failed_point_without_order(monkeypatch):
+    real = tailsolver.solve_alpha
+
+    def flaky(spec, *args, xi=None, **kwargs):
+        if xi == 0.9:
+            raise ValueError("injected")
+        return real(spec, *args, xi=xi, **kwargs)
+
+    monkeypatch.setattr(tailsolver, "solve_alpha", flaky)
+    with pytest.warns(RuntimeWarning, match="alpha solve failed at xi=0.9"):
+        curve = alpha_curve(mixture_spec(), [0.85, 0.9, 0.999], samples=100, seed=8)
+    failed = curve.solves[1]
+    assert failed.status is SolveStatus.FAILED and np.isnan(failed.alpha)
+    assert [s.status for s in curve.solves[::2]] == [SolveStatus.CONVERGED] * 2
+    # a failed point is unordered: neither neighbouring pair reads decreasing
+    assert [ok for _, _, ok in curve.monotonicity_report] == [False, False]
+
+
+def test_alpha_curve_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(tailsolver, "solve_alpha", broken)
+    with pytest.raises(TypeError, match="bug"):
+        alpha_curve(mixture_spec(), [0.5, 0.9], samples=100, seed=8)
+
+
 def test_alpha_curve_shares_one_sample_outside_and_one_inside_window(monkeypatch):
     # continuous law: xi_1 and every point outside the refine window are
     # solved on the same frozen columns; the points inside share one 4x sample

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heavytail.models import DeterministicLaw, rank1_gauss, symm
-from heavytail.spectral import h_closed_form
+from heavytail.spectral import FirstColumnSample
 from heavytail.transferop import (PowerIterationError, build_operator,
                                   eigenfunction_representation_check,
                                   power_iterate)
@@ -46,7 +46,7 @@ def test_eigenvalue_matches_closed_form():
     spec = rank1_gauss(d=2, b=8, eta=0.3)
     op = build_operator(spec, s=1.0, n_bins=256, samples=8000, seed=4)
     spectrum = power_iterate(op)
-    href = h_closed_form(spec, 1.0, samples=500_000, seed=5)
+    href = FirstColumnSample(spec, 500_000, seed=5).h(1.0)
     assert abs(spectrum.leading_eigenvalue - href.mean) / href.mean < 0.02
     # eigenfunction strictly positive, eigenmeasure a probability vector
     assert (spectrum.eigenfunction > 0).all()
