@@ -1,7 +1,7 @@
 """Heavy-tail analysis of affine stochastic recursions X_k = A_k X_{k-1} + B_k
 with A = I - xi*H, the coefficient structure of SGD on quadratic losses."""
 
-from .mc import McEstimate, parallel_map, parallel_mean, resolve_workers, substream
+from .mc import McEstimate, parallel_map, resolve_workers, substream
 from .models import (ConfigurationError, DeterministicLaw, GaussianVectorLaw,
                      GoeLaw, MatrixMixtureLaw, ModelSpec, ScalarMixtureLaw,
                      Variant, VectorMixtureLaw, load_law_file, rank1_gauss,

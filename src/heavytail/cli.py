@@ -275,18 +275,16 @@ def run_config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_simulate(args) -> int:
     spec = _build_spec(args)
-    rng = mc.substream(args.seed, 0)
     if args.n is not None:
         stop = StopRule(tol_prod=0.0, n_max=args.n)
     else:
         stop = StopRule(tol_prod=args.tol_prod, n_max=args.n_max)
-    batch = recursion.sample_r_batch(spec, args.samples, rng, stop)
+    batch = recursion.sample_r_parallel(spec, args.samples, args.seed, stop,
+                                        args.workers)
     header = (["sample_id", "n"] + [f"r_{i+1}" for i in range(spec.d)]
               + ["abs_r", "log_norm_pi"])
-    abs_r = batch.abs_r
-    rows = ([i, int(batch.n_steps[i])] + [batch.r[i, j] for j in range(spec.d)]
-            + [abs_r[i], batch.log_pi_final[i]]
-            for i in range(args.samples))
+    rows = zip(range(args.samples), batch.n_steps.tolist(), *batch.r.T.tolist(),
+               batch.abs_r.tolist(), batch.log_pi_final.tolist())
     _write_csv(args.out, header, rows)
     n_nc = int((batch.status == recursion.StopStatus.NON_CONTRACTION.value).sum())
     if n_nc:
@@ -410,8 +408,8 @@ def _cmd_tailfit(args) -> int:
     fracs = [float(f) for f in args.k_fracs.replace(",", " ").split()]
     if not fracs:
         raise ConfigurationError("--k-fracs is empty")
-    rng = mc.substream(args.seed, 0)
-    batch = recursion.sample_r_batch(spec, args.samples, rng)
+    batch = recursion.sample_r_parallel(spec, args.samples, args.seed,
+                                        workers=args.workers)
     fits = empirics.hill_stability_scan(batch.abs_r, fracs)
     rows = [[f, fit.k_order, fit.alpha_hat, fit.ci[0], fit.ci[1], fit.amplitude]
             for f, fit in zip(fracs, fits)]
@@ -429,8 +427,8 @@ def _cmd_angular(args) -> int:
     spec = _build_spec(args)
     if spec.d != 2:
         raise ConfigurationError("the angular test is specialized to d = 2")
-    rng = mc.substream(args.seed, 0)
-    batch = recursion.sample_r_batch(spec, args.samples, rng)
+    batch = recursion.sample_r_parallel(spec, args.samples, args.seed,
+                                        workers=args.workers)
     rep = empirics.angular_exceedance_test(batch.r, args.threshold_quantile,
                                            level=args.level)
     _write_csv(args.out,

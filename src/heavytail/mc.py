@@ -134,21 +134,6 @@ def estimate_from_values(
     return McEstimate(mean, stderr, n, skipped, seed, workers, reasons)
 
 
-def parallel_mean(
-    task: McTask,
-    draws: int,
-    seed: Seed,
-    workers: int | None = None,
-) -> McEstimate:
-    """Deterministic parallel Monte-Carlo mean of a per-draw evaluator.
-
-    NaN/inf evaluations are excluded from the mean and reported as skipped.
-    """
-    workers = resolve_workers(workers)
-    values = parallel_map(task, draws, seed, workers)
-    return estimate_from_values(values, seed=seed, workers=workers)
-
-
 def parallel_tasks(fn, count: int, workers: int | None = None) -> list:
     """Run ``fn(i)`` for i in range(count), results in index order.
 

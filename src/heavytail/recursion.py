@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -145,6 +145,24 @@ def sample_r_batch(spec: ModelSpec, draws: int, rng: np.random.Generator,
             log_final[active] = log_norm
             r[active] = state.r
     return StationaryBatch(r=r, n_steps=n_steps, log_pi_final=log_final, status=status)
+
+
+def sample_r_parallel(spec: ModelSpec, draws: int, seed: mc.Seed,
+                      stop: StopRule = StopRule(),
+                      workers: int | None = None) -> StationaryBatch:
+    """``sample_r_batch`` over ``workers`` substreams, merged in worker order.
+
+    Worker i draws its ``mc._chunk_sizes`` share on ``mc.substream(seed, i)``,
+    so one worker draws exactly ``sample_r_batch(spec, draws,
+    mc.substream(seed, 0), stop)``.
+    """
+    workers = mc.resolve_workers(workers)
+    sizes = mc._chunk_sizes(draws, workers)
+    parts = mc.parallel_tasks(
+        lambda i: sample_r_batch(spec, sizes[i], mc.substream(seed, i), stop),
+        workers, workers)
+    return StationaryBatch(*(np.concatenate([getattr(p, f.name) for p in parts])
+                             for f in fields(StationaryBatch)))
 
 
 # A non-scalar tilt computes |A_i x| for each of the m points of the sum

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from heavytail.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _parse_grid, main
@@ -191,6 +193,58 @@ def test_angular_report(tmp_path, capsys):
 def test_angular_rejects_d1():
     assert run_cli(["angular", "--model", "rank1gauss", "--d", "1", "--b", "1",
                     "--eta", "0.5", "--samples", "100"]) == EXIT_CONFIG
+
+
+# A d = 2 finite-support symm law: its draws do not come from the Bartlett
+# sampler, so the commands below keep their one-worker bytes.
+SYMM2_LAW = """\
+[model]
+variant = symm
+d = 2
+b = 2
+eta = 0.8
+
+[h_law]
+kind = mixture
+matrices = [[1.0, 0.5], [0.5, 1.0]] ; [[0.2, 0.0], [0.0, 1.6]]
+probs = 0.5, 0.5
+"""
+
+WORKER_COMMANDS = {
+    "simulate": ["--samples", "300"],
+    "tailfit": ["--samples", "2000"],
+    "angular": ["--samples", "5000", "--threshold-quantile", "0.9"],
+}
+
+# The CSVs at --seed 4 --workers 1 on SYMM2_LAW, as written when these
+# commands drew one stream from substream(seed, 0) whatever --workers said.
+ONE_WORKER_SHA256 = {
+    "simulate": "dc32c659d6c77d604a3788e7a366919e10a774fd23e6fd4f61604f8a5067ea77",
+    "tailfit": "551e3fad520a11a3fbe5a878a49f690dce355ffc1d0ffa85c8cfb26365492fd4",
+    "angular": "9d00d60ef8b0c17c002add524028d1931ba1e3395243148c590ea0f089a7de0f",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(WORKER_COMMANDS))
+def test_one_worker_keeps_single_stream_bytes(cmd, tmp_path):
+    law = tmp_path / "symm2.law"
+    law.write_text(SYMM2_LAW)
+    out = tmp_path / f"{cmd}.csv"
+    assert run_cli([cmd, "--law-file", law, *WORKER_COMMANDS[cmd], "--seed", "4",
+                    "--workers", "1", "--out", out]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ONE_WORKER_SHA256[cmd]
+
+
+@pytest.mark.parametrize("cmd", sorted(WORKER_COMMANDS))
+def test_two_workers_byte_identical_across_runs(cmd, tmp_path):
+    argv = [cmd, "--model", "rank1gauss", "--d", "2", "--b", "8", "--eta", "1.0",
+            *WORKER_COMMANDS[cmd], "--seed", "7", "--workers", "2"]
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(argv + ["--out", out]) == EXIT_OK
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_integrability_ladder_csv(tmp_path, capsys):

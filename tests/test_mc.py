@@ -5,7 +5,7 @@ from heavytail import mc
 
 
 def test_constant_evaluator():
-    est = mc.parallel_mean(lambda rng, n: np.full(n, 7.0), 100, seed=1)
+    est = mc.estimate_from_values(mc.parallel_map(lambda rng, n: np.full(n, 7.0), 100, seed=1))
     assert est.mean == 7.0
     assert est.stderr == 0.0
     assert est.n == 100
@@ -13,22 +13,24 @@ def test_constant_evaluator():
 
 
 def test_uniform_mean_lln():
-    est = mc.parallel_mean(lambda rng, n: rng.random(n), 1_000_000, seed=2)
+    est = mc.estimate_from_values(mc.parallel_map(lambda rng, n: rng.random(n), 1_000_000, seed=2))
     assert abs(est.mean - 0.5) < 3 * est.stderr
     assert est.stderr == pytest.approx(np.sqrt(1 / 12 / 1e6), rel=0.05)
 
 
 def test_determinism_same_seed_workers():
     task = lambda rng, n: rng.standard_normal(n)
-    a = mc.parallel_mean(task, 100_000, seed=42, workers=4)
-    b = mc.parallel_mean(task, 100_000, seed=42, workers=4)
+    a = mc.estimate_from_values(mc.parallel_map(task, 100_000, seed=42, workers=4),
+                                seed=42, workers=4)
+    b = mc.estimate_from_values(mc.parallel_map(task, 100_000, seed=42, workers=4),
+                                seed=42, workers=4)
     assert a == b  # bitwise-identical estimate
 
 
 def test_worker_count_changes_partition_but_not_expectation():
     task = lambda rng, n: rng.standard_normal(n) + 1.0
-    a = mc.parallel_mean(task, 200_000, seed=5, workers=1)
-    b = mc.parallel_mean(task, 200_000, seed=5, workers=8)
+    a = mc.estimate_from_values(mc.parallel_map(task, 200_000, seed=5, workers=1))
+    b = mc.estimate_from_values(mc.parallel_map(task, 200_000, seed=5, workers=8))
     assert a.mean != b.mean  # different stream partitioning, documented
     assert abs(a.mean - b.mean) < 4 * a.combined_stderr(b)
 
@@ -39,7 +41,7 @@ def test_nan_draws_become_skips():
         vals[::10] = np.nan
         return vals
 
-    est = mc.parallel_mean(task, 1000, seed=3)
+    est = mc.estimate_from_values(mc.parallel_map(task, 1000, seed=3))
     assert est.skipped == 100
     assert est.n == 900
     assert est.skip_reasons == (("non-finite", 100),)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy import stats
 
-from heavytail import mc
+from heavytail import mc, models
 from heavytail.models import (ConfigurationError, DeterministicLaw,
                               GaussianVectorLaw, GoeLaw, MatrixMixtureLaw,
-                              ModelSpec, Variant, VectorMixtureLaw,
-                              h_sum_support, pair_a, rank1_gauss,
-                              sample_h_columns, sample_h_sums, sample_pairs,
-                              spec_from_law_text, symm)
+                              ModelSpec, ScalarMixtureLaw, Variant,
+                              VectorMixtureLaw, h_sum_support, pair_a,
+                              rank1_gauss, sample_h_columns, sample_h_sums,
+                              sample_pairs, spec_from_law_text, symm)
 
 MIX_LAW_TEXT = """\
 [model]
@@ -231,3 +232,64 @@ def test_rank1_default_laws_match_gauss_variant():
     ha, ba = sample_pairs(a, 20, mc.substream(12))
     hg, bg = sample_pairs(g, 20, mc.substream(12))
     assert np.array_equal(ha, hg) and np.array_equal(ba, bg)
+
+
+@pytest.mark.parametrize("d, b", [(1, 1), (1, 3), (2, 2), (2, 8), (3, 4)])
+def test_bartlett_pairs_exact_moments(d, b):
+    # H ~ Wishart_d(b, I) and B | H ~ N(0, xi^2 H): E[H] = b I,
+    # E[H_11^2] = b^2 + 2b, E[B B^T] = xi^2 b I, E[B_1^2 H_11] = xi^2 (b^2 + 2b)
+    spec = rank1_gauss(d=d, b=b, eta=0.6)
+    n, xi2 = 200_000, spec.xi ** 2
+    h, bvec = sample_pairs(spec, n, mc.substream(20 + 10 * d + b))
+    checks = [(h[:, i, j], b * (i == j)) for i in range(d) for j in range(d)]
+    checks += [(bvec[:, i] * bvec[:, j], xi2 * b * (i == j))
+               for i in range(d) for j in range(d)]
+    checks += [(h[:, 0, 0] ** 2, b * b + 2 * b),
+               (bvec[:, 0] ** 2 * h[:, 0, 0], xi2 * (b * b + 2 * b))]
+    for values, exact in checks:
+        assert abs(values.mean() - exact) <= 4 * values.std() / np.sqrt(n)
+
+
+@pytest.mark.parametrize("d, b", [(2, 2), (2, 8)])
+def test_bartlett_pairs_match_a_draw_law(d, b, monkeypatch):
+    # two-sample KS of H_11, H_12, H_22 and B_1 against the a-draw path
+    spec = rank1_gauss(d=d, b=b, eta=0.6)
+    n = 20_000
+    h, bvec = sample_pairs(spec, n, mc.substream(40 + b))
+    monkeypatch.setattr(models, "_bartlett", lambda spec: False)
+    h_a, bvec_a = sample_pairs(spec, n, mc.substream(50 + b))
+    for x, y in [(h[:, 0, 0], h_a[:, 0, 0]), (h[:, 0, 1], h_a[:, 0, 1]),
+                 (h[:, 1, 1], h_a[:, 1, 1]), (bvec[:, 0], bvec_a[:, 0])]:
+        assert stats.ks_2samp(x, y).pvalue > 0.01
+
+
+def test_bartlett_columns_equal_first_column_of_sums():
+    spec = rank1_gauss(d=3, b=5, eta=0.2)
+    cols = sample_h_columns(spec, 100, mc.substream(13))
+    full = sample_h_sums(spec, 100, mc.substream(13))
+    assert np.array_equal(cols, full[:, :, 0])
+    h, _ = sample_pairs(spec, 100, mc.substream(13))
+    assert np.array_equal(h, full)
+
+
+def test_a_draw_path_below_d_and_for_non_gaussian_laws():
+    # b < d: H and B are the sums over the drawn a's and y's themselves
+    n = 50
+    spec = rank1_gauss(d=3, b=2, eta=0.4)
+    h, bvec = sample_pairs(spec, n, mc.substream(14))
+    rng = mc.substream(14)
+    a = rng.standard_normal((n, 2, 3))
+    y = rng.standard_normal((n, 2))
+    assert np.allclose(h, np.einsum("nbi,nbj->nij", a, a), rtol=0, atol=1e-12)
+    assert np.allclose(bvec, spec.xi * np.einsum("nb,nbi->ni", y, a), rtol=0, atol=1e-12)
+    # Gaussian a's but a non-Gaussian y law at b >= d: B = xi * 2 * sum a_i
+    spec = ModelSpec(Variant.RANK1, d=2, b=3, eta=0.4,
+                     y_law=ScalarMixtureLaw((2.0,), (1.0,)))
+    h, bvec = sample_pairs(spec, n, mc.substream(15))
+    a = mc.substream(15).standard_normal((n, 3, 2))
+    assert np.allclose(h, np.einsum("nbi,nbj->nij", a, a), rtol=0, atol=1e-12)
+    assert np.allclose(bvec, spec.xi * 2.0 * a.sum(axis=1), rtol=0, atol=1e-12)
+    # mixture a-law at b = d: H counts basis-vector hits, as no Bartlett H can
+    spec = spec_from_law_text(RANK1_LAW_TEXT)
+    h = sample_h_sums(spec, n, mc.substream(16))
+    assert np.array_equal(h, np.round(h))

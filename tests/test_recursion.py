@@ -17,7 +17,7 @@ from heavytail.models import (ConfigurationError, DeterministicLaw,
 from heavytail.recursion import (AlphaTilt, ProductState, StopRule, StopStatus,
                                  TiltedPaths, finite_iteration_tail,
                                  moment_growth_curve, partial_sum_norms,
-                                 sample_r_batch)
+                                 sample_r_batch, sample_r_parallel)
 
 
 def half_identity_spec(d=2):
@@ -158,6 +158,23 @@ def test_sample_r_geometric_stop():
     assert batch.n_steps[0] == 40  # 2^-40 < 1e-12
     assert abs(batch.r[0, 0] - 2.0) < 1e-11
     assert batch.r[0, 1] == 0.0
+
+
+def test_sample_r_parallel_concatenates_worker_substreams():
+    # worker i draws its chunk on substream(seed, i); one worker is the
+    # single-stream batch, and fewer draws than workers leave a chunk empty
+    spec = rank1_gauss(d=2, b=3, eta=0.5)
+    seed = (11, 2)
+    stop = StopRule(n_max=200)
+    parts = [sample_r_batch(spec, m, mc.substream(seed, i), stop)
+             for i, m in enumerate(mc._chunk_sizes(7, 2))]
+    cases = [(2, 7, parts), (1, 7, [sample_r_batch(spec, 7, mc.substream(seed, 0), stop)]),
+             (2, 1, [sample_r_batch(spec, 1, mc.substream(seed, 0), stop)])]
+    for workers, draws, want in cases:
+        got = sample_r_parallel(spec, draws, seed, stop, workers)
+        for field in ("r", "n_steps", "log_pi_final", "status"):
+            assert np.array_equal(getattr(got, field),
+                                  np.concatenate([getattr(p, field) for p in want]))
 
 
 def test_sample_r_non_contraction_warning(tmp_path, capsys):
