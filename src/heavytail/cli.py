@@ -29,19 +29,12 @@ EXIT_NUMERICAL = 3
 INLINE_MODELS = ("rank1gauss", "rank1", "symm-goe", "symm-det-identity")
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form; deterministic across runs."""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _write_csv(path: str | None, header: list[str], rows) -> None:
+    # csv writes a float as repr(float(x)), the shortest round-trip form
     def dump(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
     if path is None:
         dump(sys.stdout)

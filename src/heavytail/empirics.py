@@ -171,23 +171,16 @@ class IntegrabilityReport:
 
 def _integrability_values(spec: ModelSpec, target: IntegrabilityTarget,
                           delta: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    out = np.empty(n)
-    done = 0
-    for h in iter_h_blocks(spec, n, rng):
-        m = h.shape[0]
+    def values(h: np.ndarray) -> np.ndarray:
         if target is IntegrabilityTarget.OFF_DIAGONAL:
-            base = np.abs(h[:, 1, 0])
-            vals = base ** (-delta)
-        else:
-            a = pair_a(spec, h)
-            if target is IntegrabilityTarget.DET_A:
-                vals = np.abs(np.linalg.det(a)) ** (-delta)
-            else:
-                smin = np.linalg.svd(a, compute_uv=False)[:, -1]
-                vals = smin ** (-delta)   # ||A^{-1}||^delta = sigma_min^(-delta)
-        out[done:done + m] = vals
-        done += m
-    return out
+            return np.abs(h[:, 1, 0]) ** (-delta)
+        a = pair_a(spec, h)
+        if target is IntegrabilityTarget.DET_A:
+            return np.abs(np.linalg.det(a)) ** (-delta)
+        smin = np.linalg.svd(a, compute_uv=False)[:, -1]
+        return smin ** (-delta)   # ||A^{-1}||^delta = sigma_min^(-delta)
+
+    return np.concatenate([values(h) for h in iter_h_blocks(spec, n, rng)])
 
 
 def integrability_probe(spec: ModelSpec, target: IntegrabilityTarget, delta: float,
@@ -260,12 +253,9 @@ def chi2_diagonal_check(spec: ModelSpec, samples: int, seed: int = 0,
         raise ValueError("the chi-square diagonal law holds for rank1gauss only")
 
     def task(rng, m):
-        out = np.empty((m, spec.d))
-        done = 0
-        for h in iter_h_blocks(spec, m, rng):
-            out[done:done + h.shape[0]] = np.diagonal(h, axis1=1, axis2=2)
-            done += h.shape[0]
-        return out
+        # a copy per block: a view would keep every H block alive until the end
+        return np.concatenate([np.diagonal(h, axis1=1, axis2=2).copy()
+                               for h in iter_h_blocks(spec, m, rng)])
 
     diags = mc.parallel_map(task, samples, seed, workers)
     pvals, means, variances = [], [], []

@@ -17,9 +17,10 @@ matrix (no eta/b factor) and xi carries the eta/b factor, so
 ``A = I - xi*H`` holds entrywise by construction.
 
 Samplers are pure functions of (spec, rng); a fixed seed and spec give a
-bit-identical sample sequence. Draw order per batch is fixed and documented
-on each sampler. Finite-support laws additionally expose their exact b-fold
-sum support for zero-variance downstream evaluation.
+bit-identical sample sequence. Each law is drawn in one place, ``_draw``,
+which documents the fixed draw order per batch. Finite-support laws
+additionally expose their exact b-fold sum support for zero-variance
+downstream evaluation.
 """
 
 from __future__ import annotations
@@ -318,15 +319,13 @@ def symm(d: int, b: int, eta: float, h_law, b_law=None) -> ModelSpec:
 
 def _bartlett(spec: ModelSpec) -> bool:
     """Whether spec's rank-one draws come from a Bartlett factor: Gaussian
-    a- and y-laws, and b >= d."""
-    if spec.variant is Variant.SYMM or spec.b < spec.d:
-        return False
+    a- and y-laws."""
     return spec.variant is Variant.RANK1_GAUSS or (
         isinstance(spec.a_law, GaussianVectorLaw)
         and isinstance(spec.y_law, GaussianScalarLaw))
 
 
-# A chi^2_1 diagonal (b = d, j = d - 1) is drawn as |N(0, 1)|, which has
+# A chi^2_1 diagonal (j = b - 1) is drawn as |N(0, 1)|, which has
 # the law of sqrt(chi^2_1) at the cost of one normal. On 5e4 draws (2 vCPU,
 # numpy 2.4) chisquare(1) took 2.5 ms against 1.3 ms for two normals, and
 # sample_pairs at d = b = 1 took 4.2-5.9 ms with sqrt(chisquare(1)),
@@ -344,10 +343,11 @@ def _bartlett_column(spec: ModelSpec, j: int, n: int,
 
 def _bartlett_factor(spec: ModelSpec, n: int,
                      rng: np.random.Generator) -> list[list[np.ndarray]]:
-    """n lower-triangular Bartlett factors L of Wishart_d(b, I), drawn
-    column by column; entry (i, j), j <= i, is the array ``low[i][j]``."""
-    cols = [_bartlett_column(spec, j, n, rng) for j in range(spec.d)]
-    return [[cols[j][i - j] for j in range(i + 1)] for i in range(spec.d)]
+    """n Bartlett factors L of Wishart_d(b, I): d x min(b, d) and lower
+    trapezoidal, so singular for b < d (Srivastava 2003). Drawn column by
+    column; entry (i, j), j <= i, is the array ``low[i][j]``."""
+    cols = [_bartlett_column(spec, j, n, rng) for j in range(min(spec.b, spec.d))]
+    return [[cols[j][i - j] for j in range(min(i + 1, spec.b))] for i in range(spec.d)]
 
 
 def _dot(xs, ys) -> np.ndarray:
@@ -383,68 +383,53 @@ def _bartlett_h(low: list[list[np.ndarray]]) -> np.ndarray:
                            for i in range(d) for j in range(d)]).reshape(-1, d, d)
 
 
-def _rank1_a_draws(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The (n, b, d) batch of a-vectors behind rank1/rank1gauss draws."""
-    if spec.variant is Variant.RANK1 and not isinstance(spec.a_law, GaussianVectorLaw):
-        return spec.a_law.sample(n * spec.b, rng).reshape(n, spec.b, spec.d)
-    return rng.standard_normal((n, spec.b, spec.d))
+def _draw(spec: ModelSpec, n: int, rng: np.random.Generator,
+          with_b: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """n draws of (H, B), with B None and undrawn unless ``with_b``.
 
-
-def _rank1_h_block(spec: ModelSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(a draws, summed H) for rank1/rank1gauss. Consumes a-draws only."""
-    a = _rank1_a_draws(spec, n, rng)
+    Draw order per batch: symm draws all H's, then all B's. A Bartlett law
+    (``_bartlett``) draws its factor L column by column, then z ~
+    N(0, I_min(b, d)), and returns (L L^T, xi L z): H is Wishart_d(b, I) and
+    B | H is N(0, xi^2 H), the joint law of the sums over a_i ~ N(0, I_d)
+    and y_i ~ N(0, 1) (Bartlett 1933; Odell & Feiveson 1966), from at most
+    d(d+1)/2 + d variates in place of b(d+1). Other rank1 laws draw all a's
+    through ``a_law``, then all y's through ``y_law``. Skipping B changes no
+    H, since B is drawn last.
+    """
+    if spec.variant is Variant.SYMM:
+        h = spec.h_law.sample_sum(n, spec.b, rng)
+        return h, spec.b_law.sample(n, rng) if with_b else None
+    if _bartlett(spec):
+        low = _bartlett_factor(spec, n, rng)
+        bvec = None
+        if with_b:
+            z = rng.standard_normal((min(spec.b, spec.d), n))
+            bvec = spec.xi * _stack_columns([_dot(row, z) for row in low])
+        return _bartlett_h(low), bvec
+    a = spec.a_law.sample(n * spec.b, rng).reshape(n, spec.b, spec.d)
     # Reversing the b axis (the summation order) gives negative strides,
     # which keep numpy's matmul in its own small-matrix loop. At d = 2, b = 8
     # BLAS took 2-3x longer: syrk on a.T @ a did not speed up with two worker
     # threads, and gemm on a copy of a raised the peak memory.
     a_rev = a[:, ::-1]
-    return a, np.swapaxes(a_rev, 1, 2) @ a_rev
+    h = np.swapaxes(a_rev, 1, 2) @ a_rev
+    if not with_b:
+        return h, None
+    y = spec.y_law.sample(n * spec.b, rng).reshape(n, spec.b)
+    return h, spec.xi * np.einsum("nb,nbi->ni", y, a)
 
 
 def sample_h_sums(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of the summed (unscaled) matrix H, shape (n, d, d).
-
-    Draw order: one block of H draws; for a Bartlett law (``_bartlett``)
-    the factor L column by column, for other rank1 variants the underlying
-    a-draws, for symm the h_law draws. No B draws are consumed, so a
-    Bartlett law gives the same H as ``sample_pairs`` from the same stream.
-    """
-    if spec.variant is Variant.SYMM:
-        return spec.h_law.sample_sum(n, spec.b, rng)
-    if _bartlett(spec):
-        return _bartlett_h(_bartlett_factor(spec, n, rng))
-    _, h = _rank1_h_block(spec, n, rng)
-    return h
+    """n draws of the summed (unscaled) matrix H, shape (n, d, d): the H of
+    ``sample_pairs`` from the same stream, with no B drawn."""
+    return _draw(spec, n, rng, with_b=False)[0]
 
 
 def sample_pairs(spec: ModelSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n coefficient draws as arrays (H: (n,d,d), B: (n,d)).
-
-    Draw order per batch: a Bartlett law (Gaussian rank-one, b >= d) draws
-    its factor L column by column, then z ~ N(0, I_d), and returns
-    (L L^T, xi L z): H is Wishart_d(b, I) and B | H is N(0, xi^2 H), the
-    joint law of the sums over a_i ~ N(0, I_d) and y_i ~ N(0, 1) (Bartlett
-    1933; Odell & Feiveson 1966), from d(d+1)/2 + d variates in place of
-    b(d+1). Other rank1 variants draw all a's, then all y's; symm draws all
-    H's, then all B's. A is not materialized here; use ``pair_a`` when the
-    A matrix itself is needed.
-    """
-    if spec.variant is Variant.SYMM:
-        h = spec.h_law.sample_sum(n, spec.b, rng)
-        bvec = spec.b_law.sample(n, rng)
-        return h, bvec
-    if _bartlett(spec):
-        low = _bartlett_factor(spec, n, rng)
-        z = rng.standard_normal((spec.d, n))
-        bvec = spec.xi * _stack_columns([_dot(row, z) for row in low])
-        return _bartlett_h(low), bvec
-    a, h = _rank1_h_block(spec, n, rng)
-    if spec.variant is Variant.RANK1 and not isinstance(spec.y_law, GaussianScalarLaw):
-        y = spec.y_law.sample(n * spec.b, rng).reshape(n, spec.b)
-    else:
-        y = rng.standard_normal((n, spec.b))
-    bvec = spec.xi * np.einsum("nb,nbi->ni", y, a)
-    return h, bvec
+    """n coefficient draws as arrays (H: (n,d,d), B: (n,d)), in the draw
+    order of ``_draw``. A is not materialized here; use ``pair_a`` when the
+    A matrix itself is needed."""
+    return _draw(spec, n, rng, with_b=True)
 
 
 def pair_a(spec: ModelSpec, h: np.ndarray) -> np.ndarray:
@@ -452,44 +437,27 @@ def pair_a(spec: ModelSpec, h: np.ndarray) -> np.ndarray:
     return np.eye(spec.d) - spec.xi * h
 
 
-def iter_h_blocks(spec: ModelSpec, n: int, rng: np.random.Generator,
-                  block: int = BLOCK) -> Iterator[np.ndarray]:
-    """Yield summed-H batches totalling n draws, bounding peak memory."""
-    done = 0
-    while done < n:
-        m = min(block, n - done)
-        yield sample_h_sums(spec, m, rng)
-        done += m
+def iter_h_blocks(spec: ModelSpec, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Yield summed-H batches of at most BLOCK draws totalling n, bounding
+    peak memory."""
+    for lo in range(0, n, BLOCK):
+        yield sample_h_sums(spec, min(BLOCK, n - lo), rng)
 
 
 def sample_h_columns(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of the first column H e_1 of the summed matrix, shape (n, d).
+    """n draws of the first column H e_1 of the summed matrix, shape (n, d),
+    equal to ``sample_h_sums(spec, n, rng)[:, :, 0]`` from the same stream.
 
     This is the only part of H entering |(I - xi H) e_1|. A Bartlett law
     draws only L's first column, so H e_1 = (c, sqrt(c) g) with
-    c ~ chi^2_b and g ~ N(0, I_{d-1}), and equals ``sample_h_sums(spec, n,
-    rng)[:, :, 0]`` from the same stream. Other laws are sampled blockwise
-    through the same law-defining code path as full draws.
+    c ~ chi^2_b and g ~ N(0, I_{d-1}). Other laws take the column of H
+    blockwise.
     """
     if _bartlett(spec):
         first = _bartlett_column(spec, 0, n, rng)
         return _stack_columns([first[0] * v for v in first])
-    if spec.variant is not Variant.SYMM:
-        # a-draws only; avoid materializing full H
-        out = np.empty((n, spec.d))
-        done = 0
-        while done < n:
-            m = min(BLOCK, n - done)
-            a = _rank1_a_draws(spec, m, rng)
-            out[done:done + m] = np.einsum("nb,nbi->ni", a[:, :, 0], a)
-            done += m
-        return out
-    out = np.empty((n, spec.d))
-    done = 0
-    for h in iter_h_blocks(spec, n, rng):
-        out[done:done + h.shape[0]] = h[:, :, 0]
-        done += h.shape[0]
-    return out
+    # a copy per block: a view would keep every H block alive until the end
+    return np.concatenate([h[:, :, 0].copy() for h in iter_h_blocks(spec, n, rng)])
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +496,6 @@ def h_sum_support(spec: ModelSpec, limit: int = MAX_SUPPORT_ATOMS):
 
 # ---------------------------------------------------------------------------
 # Law files: structured key-value text with bracketed row-major matrices
-
-
-LAW_FILE_GRAMMAR = """\
-Law files are INI-style: section headers, key = value lines.
-
-[model]            variant = symm|rank1|rank1gauss ; d, b integers ; eta real
-[h_law]            kind = goe|deterministic|mixture
-                   matrices = [[...],[...]] ; [[...]]   (row-major, ';'-separated)
-                   probs = p1, p2, ...                  (mixture only, sum to 1)
-[b_law]            kind = gaussian|mixture ; vectors = [..] ; [..] ; probs = ...
-[a_law]            kind = gaussian|mixture ; vectors/probs as above (rank1)
-[y_law]            kind = gaussian|mixture ; values = v1, v2, ... ; probs = ...
-"""
 
 
 def _parse_bracketed_list(text: str) -> list:

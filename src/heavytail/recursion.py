@@ -422,9 +422,6 @@ class TailBoundReport:
     top_decade_mask: np.ndarray
     widened_uncertainty: bool    # < 50 exceedances in the top decade
 
-    def bound_satisfied(self, slack: float = 0.2) -> bool:
-        return self.slope <= -(self.alpha + self.epsilon) + slack
-
 
 def finite_iteration_tail(spec: ModelSpec, alpha: float, epsilon: float, n: int,
                           t_grid, samples: int, seed: int,

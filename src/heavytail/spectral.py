@@ -73,8 +73,9 @@ class LyapunovEstimate:
 def _warn_if_not_rotation_invariant(spec: ModelSpec, what: str) -> None:
     if not spec.rotation_invariant:
         warnings.warn(
-            f"{what} assumes a rotation-invariant H law; for this model the "
-            "result is an upper-bound heuristic only", RuntimeWarning, stacklevel=3)
+            f"{what} assumes a rotation-invariant H law; for this model it "
+            "is the value along e_1 only, which can lie above or below the "
+            "true value", RuntimeWarning, stacklevel=3)
 
 
 class FirstColumnSample:

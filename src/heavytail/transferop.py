@@ -1,8 +1,9 @@
 """Discretized transfer operators on the circle (d = 2 only).
 
 The operator acts on functions f of the unit circle by
-``(T f)(x) = E |A x|^s f(A.x)`` with ``A.x = Ax/|Ax|`` (the adjoint variant
-uses A^T). Its spectral radius equals k(s); the leading right eigenvector of
+``(T f)(x) = E |A x|^s f(A.x)`` with ``A.x = Ax/|Ax|``. Every H law is
+exactly symmetric, so A^T x = A x and the adjoint operator is the same
+build. Its spectral radius equals k(s); the leading right eigenvector of
 the discretized matrix (acting on measures) approximates the stationary
 angular measure, and the leading right eigenvector of its transpose
 approximates the eigenfunction.
@@ -44,7 +45,6 @@ class DiscretizedOperator:
     n_bins: int
     matrix: np.ndarray
     build_samples: int
-    adjoint: bool = False
     skipped: int = 0  # draws with |A x_j| = 0, excluded
 
     @property
@@ -74,8 +74,7 @@ def _bin_index(angles: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def build_operator(spec: ModelSpec, s: float, n_bins: int, samples: int,
-                   seed: int = 0, adjoint: bool = False,
-                   workers: int | None = None) -> DiscretizedOperator:
+                   seed: int = 0, workers: int | None = None) -> DiscretizedOperator:
     """Monte-Carlo build of the discretized operator (d = 2 models only).
 
     ``samples`` draws per column; column j uses substream j of ``seed``.
@@ -96,12 +95,7 @@ def build_operator(spec: ModelSpec, s: float, n_bins: int, samples: int,
         col = np.zeros(n_bins)
         col_skipped = 0
         for h in iter_h_blocks(spec, samples, rng):
-            if adjoint:
-                # A^T x; equals A x for symmetric H but kept explicit
-                hx = np.einsum("mji,j->mi", h, x)
-            else:
-                hx = np.einsum("mij,j->mi", h, x)
-            ax = x[None, :] - xi * hx
+            ax = x[None, :] - xi * np.einsum("mij,j->mi", h, x)
             norms = np.sqrt((ax * ax).sum(axis=1))
             ok = norms > 0
             col_skipped += int((~ok).sum())
@@ -118,8 +112,7 @@ def build_operator(spec: ModelSpec, s: float, n_bins: int, samples: int,
         matrix[:, j] = col
         skipped += col_skipped
     return DiscretizedOperator(s=s, n_bins=n_bins, matrix=matrix,
-                               build_samples=samples, adjoint=adjoint,
-                               skipped=skipped)
+                               build_samples=samples, skipped=skipped)
 
 
 def power_iterate(op: DiscretizedOperator, tol: float = 1e-12,

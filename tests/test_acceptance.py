@@ -229,7 +229,7 @@ def test_criterion_09b_eigenmeasure_uniformity(operator_setup):
 def test_criterion_09c_eigenfunction_representation(operator_setup):
     _, op256, spec256 = operator_setup
     adj = build_operator(D2B8, s=1.0, n_bins=256, samples=OP_SAMPLES,
-                         seed=OP_SEED_B, adjoint=True)
+                         seed=OP_SEED_B)
     dev, c = eigenfunction_representation_check(spec256, power_iterate(adj), 1.0)
     report("09c eigenfunction representation < 5%", dev < 0.05,
            f"max relative deviation {dev:.3%} (fitted c = {c:.3f})")

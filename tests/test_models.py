@@ -234,7 +234,7 @@ def test_rank1_default_laws_match_gauss_variant():
     assert np.array_equal(ha, hg) and np.array_equal(ba, bg)
 
 
-@pytest.mark.parametrize("d, b", [(1, 1), (1, 3), (2, 2), (2, 8), (3, 4)])
+@pytest.mark.parametrize("d, b", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 8), (3, 2), (3, 4)])
 def test_bartlett_pairs_exact_moments(d, b):
     # H ~ Wishart_d(b, I) and B | H ~ N(0, xi^2 H): E[H] = b I,
     # E[H_11^2] = b^2 + 2b, E[B B^T] = xi^2 b I, E[B_1^2 H_11] = xi^2 (b^2 + 2b)
@@ -250,14 +250,16 @@ def test_bartlett_pairs_exact_moments(d, b):
         assert abs(values.mean() - exact) <= 4 * values.std() / np.sqrt(n)
 
 
-@pytest.mark.parametrize("d, b", [(2, 2), (2, 8)])
+@pytest.mark.parametrize("d, b", [(2, 2), (2, 8), (3, 2)])
 def test_bartlett_pairs_match_a_draw_law(d, b, monkeypatch):
-    # two-sample KS of H_11, H_12, H_22 and B_1 against the a-draw path
+    # two-sample KS of H_11, H_12, H_22 and B_1 against the a-draw path,
+    # which draws rank1's Gaussian a- and y-laws once _bartlett is off
     spec = rank1_gauss(d=d, b=b, eta=0.6)
     n = 20_000
     h, bvec = sample_pairs(spec, n, mc.substream(40 + b))
     monkeypatch.setattr(models, "_bartlett", lambda spec: False)
-    h_a, bvec_a = sample_pairs(spec, n, mc.substream(50 + b))
+    h_a, bvec_a = sample_pairs(ModelSpec(Variant.RANK1, d, b, 0.6), n,
+                               mc.substream(50 + b))
     for x, y in [(h[:, 0, 0], h_a[:, 0, 0]), (h[:, 0, 1], h_a[:, 0, 1]),
                  (h[:, 1, 1], h_a[:, 1, 1]), (bvec[:, 0], bvec_a[:, 0])]:
         assert stats.ks_2samp(x, y).pvalue > 0.01
@@ -272,16 +274,17 @@ def test_bartlett_columns_equal_first_column_of_sums():
     assert np.array_equal(h, full)
 
 
-def test_a_draw_path_below_d_and_for_non_gaussian_laws():
-    # b < d: H and B are the sums over the drawn a's and y's themselves
+def test_singular_bartlett_and_a_draw_path_for_non_gaussian_laws():
+    # b < d: a singular Bartlett H of rank b, with the same first column
+    # and H from every sampler on one stream
     n = 50
     spec = rank1_gauss(d=3, b=2, eta=0.4)
-    h, bvec = sample_pairs(spec, n, mc.substream(14))
-    rng = mc.substream(14)
-    a = rng.standard_normal((n, 2, 3))
-    y = rng.standard_normal((n, 2))
-    assert np.allclose(h, np.einsum("nbi,nbj->nij", a, a), rtol=0, atol=1e-12)
-    assert np.allclose(bvec, spec.xi * np.einsum("nb,nbi->ni", y, a), rtol=0, atol=1e-12)
+    full = sample_h_sums(spec, n, mc.substream(14))
+    assert (np.linalg.matrix_rank(full) == 2).all()
+    cols = sample_h_columns(spec, n, mc.substream(14))
+    assert np.array_equal(cols, full[:, :, 0])
+    h, _ = sample_pairs(spec, n, mc.substream(14))
+    assert np.array_equal(h, full)
     # Gaussian a's but a non-Gaussian y law at b >= d: B = xi * 2 * sum a_i
     spec = ModelSpec(Variant.RANK1, d=2, b=3, eta=0.4,
                      y_law=ScalarMixtureLaw((2.0,), (1.0,)))

@@ -29,6 +29,9 @@ def test_tracer_binds_and_counts_product_layers(tmp_path, monkeypatch):
          "--out", tmp_path / "k.csv"],
         ["moments", "--model", "symm-det-identity", "--eta", "0.5", "--alpha", "1",
          "--n-grid", "2,4", "--samples", "20", "--out", tmp_path / "m.csv"],
+        # the later --eta wins: at xi = 0.5 h(s) crosses 1, so alpha exits 0
+        ["alpha", *model, "--eta", "1.0", "--out", tmp_path / "alpha.csv"],
+        ["operator", *model, "--bins", "8", "--out", tmp_path / "op.csv"],
     ]
     with tracing.installed(tracing.Tracer()) as tracer:
         for argv in jobs:
@@ -38,4 +41,6 @@ def test_tracer_binds_and_counts_product_layers(tmp_path, monkeypatch):
     assert metrics["spectral.product_log_norms.calls"] > 0
     assert metrics["recursion.partial_sum_norms.path_steps"] == 20 * 4
     assert metrics["models.sample_pairs.draws"] > 0
+    assert metrics["models.sample_h_columns.draws"] > 0
+    assert metrics["models.iter_h_blocks.draws"] > 0
     assert metrics["linalg.batch_operator_norms.matrices"] > 0
