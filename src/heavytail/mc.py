@@ -123,7 +123,7 @@ def estimate_from_values(
     values = np.asarray(values, dtype=float).ravel()
     finite = np.isfinite(values)
     skipped = int(values.size - finite.sum())
-    kept = values[finite]
+    kept = values[finite] if skipped else values
     n = int(kept.size)
     if n == 0:
         return McEstimate(np.nan, np.nan, 0, skipped, seed, workers,

@@ -294,7 +294,8 @@ class ModelSpec:
     @property
     def rotation_invariant(self) -> bool:
         """Whether the law of H is invariant under orthogonal conjugation."""
-        if self.variant is Variant.RANK1_GAUSS:
+        if self.d == 1 or self.variant is Variant.RANK1_GAUSS:
+            # d = 1: conjugation by O(1) = {1, -1} fixes every 1 x 1 matrix
             return True
         if self.variant is Variant.RANK1:
             return isinstance(self.a_law, GaussianVectorLaw)

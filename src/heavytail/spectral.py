@@ -21,6 +21,7 @@ form instead.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -86,7 +87,9 @@ class FirstColumnSample:
     b-fold sum support with its probabilities, making every downstream value
     deterministic (stderr 0). ``v(xi) = |(I - xi*H) u|`` is recomputable for
     any xi from the frozen columns, so one sample powers whole s- and
-    xi-grids.
+    xi-grids. The sample is safe to share between threads: each of up to
+    ``workers`` threads can evaluate at its own xi while the others' v
+    arrays stay cached.
     """
 
     def __init__(self, spec: ModelSpec, samples: int, seed: mc.Seed,
@@ -110,10 +113,39 @@ class FirstColumnSample:
             self.weights = None
         self.exact = self.weights is not None
         self.n = self.cols.shape[-1]
+        self._v_cache: dict[float, np.ndarray] = {}  # least recently used first
+        self._v_lock = threading.Lock()
 
     def v(self, xi: float) -> np.ndarray:
-        """|(I - xi*H) u| per frozen draw."""
-        return np.sqrt(((self.u[:, None] - xi * self.cols) ** 2).sum(axis=0))
+        """|(I - xi*H) u| per frozen draw, read-only.
+
+        The arrays of the ``workers`` most recently used xi values are kept,
+        so a solve at one xi computes v once however many s it evaluates.
+        """
+        xi = float(xi)
+        with self._v_lock:
+            cached = self._v_cache.pop(xi, None)
+            if cached is not None:
+                self._v_cache[xi] = cached
+                return cached
+            # evict first, so the new array does not add to the old ones
+            while len(self._v_cache) >= self.workers:
+                del self._v_cache[next(iter(self._v_cache))]
+        # row by row in place: the same sum, in the same order, as
+        # sqrt(((u[:, None] - xi * cols) ** 2).sum(axis=0)), with one (n,)
+        # temporary in place of two (d, n) ones
+        out, term = np.zeros(self.n), np.empty(self.n)
+        for uj, cj in zip(self.u, self.cols):
+            np.multiply(cj, xi, out=term)
+            np.subtract(uj, term, out=term)
+            out += np.square(term, out=term)
+        np.sqrt(out, out=out)
+        out.flags.writeable = False
+        with self._v_lock:
+            self._v_cache[xi] = out
+            while len(self._v_cache) > self.workers:
+                del self._v_cache[next(iter(self._v_cache))]
+        return out
 
     def _moment(self, values: np.ndarray, tag: str) -> mc.McEstimate:
         """Mean of per-draw values; non-finite ones are excluded, counted as

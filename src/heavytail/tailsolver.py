@@ -19,8 +19,10 @@ from enum import Enum
 
 import numpy as np
 
+from . import mc
 from .models import ModelSpec
-from .spectral import S_MAX_DEFAULT, FirstColumnSample
+from .spectral import (S_MAX_DEFAULT, FirstColumnSample,
+                       _warn_if_not_rotation_invariant)
 
 XI1_REFINE_WINDOW = 0.05   # within 5% of xi_1 the root is shallow; refine
 XI1_REFINE_SAMPLES = 4     # sample multiplier inside the window
@@ -95,9 +97,12 @@ def solve_alpha(spec: ModelSpec, tol_root: float = 1e-3, samples: int = 200_000,
     estimate at xi is nonnegative beyond noise (no positive root exists, by
     convexity), and no_root_below_s_max when h stays below 1 on the scan.
     stderr_alpha propagates the Monte-Carlo uncertainty of h through the
-    local slope: stderr(h at root) / |dh/ds at root|.
+    local slope: stderr(h at root) / |dh/ds at root|. When it draws its own
+    columns it warns on an H law that is not rotation-invariant; a caller
+    that passes ``cols`` owns that check.
     """
     if cols is None:
+        _warn_if_not_rotation_invariant(spec, "solve_alpha")
         cols = FirstColumnSample(spec, samples, seed, workers)
     xi = spec.xi if xi is None else xi
     gam = cols.gamma(xi)
@@ -161,8 +166,10 @@ def solve_xi1(spec: ModelSpec, tol_root: float = 1e-3, samples: int = 200_000,
     Precondition E<H e_1, e_1> > 0 is estimated on the frozen draw and must
     hold beyond 3 standard errors. The same frozen columns evaluate h(xi, 1)
     for every xi (the columns do not depend on xi), so the scan is smooth.
+    It warns on a law that is not rotation-invariant as ``solve_alpha`` does.
     """
     if cols is None:
+        _warn_if_not_rotation_invariant(spec, "solve_xi1")
         cols = FirstColumnSample(spec, samples, seed, workers)
     h11 = cols.mean_h11()
     if not (h11.mean > 3.0 * h11.stderr):
@@ -223,29 +230,36 @@ def alpha_curve(spec: ModelSpec, xi_grid, tol_root: float = 1e-3,
     from ``seed``. Within 5% of xi_1 the implicit function is badly
     conditioned (the slope of h at s=1 vanishes), so the tolerance is
     tightened and those points share one sample four times as large, drawn
-    from the same seed when first needed.
+    from the same seed, and only if some point lies in the window.
+
+    The points are solved on ``workers`` threads. Each depends only on the
+    frozen samples and xi_1, so the curve does not depend on scheduling.
     """
+    _warn_if_not_rotation_invariant(spec, "alpha_curve")
     xi_grid = tuple(float(x) for x in xi_grid)
     cols = FirstColumnSample(spec, samples, seed, workers)
     xi1 = solve_xi1(spec, tol_root=tol_root, cols=cols)
-    refined = None
-    solves = []
-    for xi in xi_grid:
-        tol, point_cols = tol_root, cols
-        if abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1:
-            if refined is None:
-                refined = FirstColumnSample(spec, samples * XI1_REFINE_SAMPLES, seed,
-                                            workers)
+    near = [abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1 for xi in xi_grid]
+    refined = (FirstColumnSample(spec, samples * XI1_REFINE_SAMPLES, seed, workers)
+               if any(near) else None)
+
+    def point(i: int) -> AlphaSolve:
+        xi = xi_grid[i]
+        if near[i]:
             tol, point_cols = tol_root * XI1_REFINE_TOL, refined
+        else:
+            tol, point_cols = tol_root, cols
         try:
-            solves.append(solve_alpha(spec, tol_root=tol, cols=point_cols, xi=xi))
+            return solve_alpha(spec, tol_root=tol, cols=point_cols, xi=xi)
         except (RangeError, ValueError, ArithmeticError) as exc:
             # a numerical failure is recorded and the curve continues; any
             # other exception is a bug and propagates
             warnings.warn(f"alpha solve failed at xi={xi}: {exc}", RuntimeWarning)
-            solves.append(AlphaSolve(xi=xi, alpha=np.nan, residual=np.nan,
-                                     bracket=(np.nan, np.nan), stderr_alpha=np.nan,
-                                     status=SolveStatus.FAILED))
+            return AlphaSolve(xi=xi, alpha=np.nan, residual=np.nan,
+                              bracket=(np.nan, np.nan), stderr_alpha=np.nan,
+                              status=SolveStatus.FAILED)
+
+    solves = mc.parallel_tasks(point, len(xi_grid), cols.workers)
     report = []
     for left, right in zip(solves, solves[1:]):
         # a no-root point means the root lies beyond s_max: order it as +inf;
@@ -293,29 +307,41 @@ def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
     whole grid (xi only rescales the columns). A b-grid changes the law with
     each column, so column i draws its own sample from the seed path
     ``(seed, i)``. Within a column every s shares the v computed once.
+    The columns of an eta-grid are filled on ``workers`` threads; each is a
+    function of the shared sample and its parameter, so the grid does not
+    depend on scheduling. A b-grid fills its columns in turn, since each
+    column already draws its sample on ``workers`` threads.
     Values are clipped at ``clip_level`` for display; raw values are kept
     alongside. Failed cells are recorded as NaN.
     """
     if param not in ("b", "eta"):
         raise ValueError("param must be 'b' or 'eta'")
+    _warn_if_not_rotation_invariant(spec, "contour_grid")
     param_grid = tuple(float(p) for p in param_grid)
     s_grid = tuple(float(s) for s in s_grid)
-    h = np.full((len(param_grid), len(s_grid)), np.nan)
     if param == "eta":
-        cols = FirstColumnSample(spec, samples, seed, workers)
-    for i, p in enumerate(param_grid):
+        shared = FirstColumnSample(spec, samples, seed, workers)
+
+    def column(i: int) -> np.ndarray:
+        p = param_grid[i]
         if param == "eta":
-            xi = p / spec.b
+            cols, xi = shared, p / spec.b
         elif p != int(p) or p < 1:
             warnings.warn(f"skipping non-integer batch size {p}", RuntimeWarning)
-            continue
+            return np.full(len(s_grid), np.nan)
         else:
             spec_b = replace(spec, b=int(p))
             cols = FirstColumnSample(spec_b, samples, (seed, i), workers)
             xi = spec_b.xi
         v = cols.v(xi)
-        for j, s in enumerate(s_grid):
-            h[i, j] = 1.0 if s == 0 else float(np.average(v ** s, weights=cols.weights))
+        return np.array([1.0 if s == 0 else float(np.average(v ** s, weights=cols.weights))
+                         for s in s_grid])
+
+    # a pool around the b-columns' own sampling pools put more threads on
+    # their own malloc arenas, and some runs then peaked 15-35 MiB higher
+    pool_workers = workers if param == "eta" else 1
+    h = np.array(mc.parallel_tasks(column, len(param_grid), pool_workers)).reshape(
+        len(param_grid), len(s_grid))
     isoline = marching_squares(np.asarray(param_grid), np.asarray(s_grid), h, 1.0)
     return ContourGrid(param_name=param, param_grid=param_grid, s_grid=s_grid,
                        h=h, h_clipped=np.minimum(h, clip_level), isoline=isoline,

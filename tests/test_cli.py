@@ -247,6 +247,31 @@ def test_two_workers_byte_identical_across_runs(cmd, tmp_path):
     assert runs[0] == runs[1]
 
 
+NOT_INVARIANT_LAW = """\
+[model]
+variant = symm
+d = 2
+b = 1
+eta = 0.5
+
+[h_law]
+kind = mixture
+matrices = [[1.0, 0.0], [0.0, 3.0]] ; [[0.2, 0.0], [0.0, 0.1]]
+probs = 0.5, 0.5
+"""
+
+
+@pytest.mark.parametrize("eta", ["0.5", "1.9"])
+def test_alpha_warns_on_a_law_that_is_not_rotation_invariant(eta, tmp_path):
+    # at eta 1.9 the e_1 solve reads no_root_below_s_max with gamma < 0,
+    # while the recursion itself has a positive Lyapunov exponent
+    law = tmp_path / "diag.law"
+    law.write_text(NOT_INVARIANT_LAW)
+    with pytest.warns(RuntimeWarning, match="rotation-invariant"):
+        run_cli(["alpha", "--law-file", law, "--eta", eta, "--samples", "100",
+                 "--out", tmp_path / "alpha.csv"])
+
+
 def test_integrability_ladder_csv(tmp_path, capsys):
     out = tmp_path / "ladder.csv"
     code = run_cli(["integrability", "--model", "rank1gauss", "--d", "2",

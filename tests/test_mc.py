@@ -93,3 +93,18 @@ def test_workers_env_override(monkeypatch):
     assert mc.resolve_workers(2) == 2
     monkeypatch.delenv(mc.WORKERS_ENV_VAR)
     assert mc.resolve_workers(None) == 1
+
+
+@pytest.mark.parametrize("nan_every", [0, 7])
+def test_estimate_from_values_matches_copy_path(nan_every):
+    # the estimate reads the values in place when none is skipped; it must
+    # equal, bit for bit, the mean and stderr of the filtered copy
+    values = np.random.default_rng(9).standard_normal(10_001) * 3.0 + 1.0
+    if nan_every:
+        values[::nan_every] = np.nan
+        values[1::nan_every] = np.inf
+    kept = values[np.isfinite(values)]
+    est = mc.estimate_from_values(values)
+    assert est.n == kept.size and est.skipped == values.size - kept.size
+    assert est.mean == float(kept.mean())
+    assert est.stderr == float(kept.std(ddof=1) / np.sqrt(kept.size))

@@ -329,3 +329,66 @@ def test_zero_norm_atom_excluded_with_warning():
     with pytest.warns(RuntimeWarning, match="excluded"):
         est = cols.gamma()
     assert est.skipped == 1
+
+
+# --- v(xi), kept per xi ------------------------------------------------------
+
+def _v_reference(cols, xi):
+    return np.sqrt(((cols.u[:, None] - xi * cols.cols) ** 2).sum(axis=0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("direction", [None, "tilted"])
+def test_v_bitwise_equal_to_column_formula_and_read_only(d, direction):
+    u = None if direction is None else np.arange(1.0, d + 1.0)
+    cols = FirstColumnSample(rank1_gauss(d, 3, 0.7), 5001, seed=41, direction=u)
+    for xi in (0.0, 0.1, 0.37, 2.5):
+        got = cols.v(xi)
+        assert np.array_equal(got.view(np.int64), _v_reference(cols, xi).view(np.int64))
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+
+
+def test_v_retains_at_most_workers_arrays():
+    import gc
+    import weakref
+
+    cols = FirstColumnSample(rank1_gauss(2, 8, 1.5), 2000, seed=42, workers=2)
+    refs = [weakref.ref(cols.v(xi)) for xi in np.linspace(0.01, 0.4, 40)]
+    gc.collect()
+    alive = [r for r in refs if r() is not None]
+    assert len(alive) <= cols.workers
+    assert cols.v(0.4) is alive[-1]()  # the most recent xi is kept
+
+
+def test_v_concurrent_distinct_xi_from_threads():
+    # more threads than cached entries, with frequent thread switches: every
+    # call must still return the values of its own xi
+    import sys
+    import threading
+
+    cols = FirstColumnSample(rank1_gauss(2, 8, 1.5), 3000, seed=43, workers=2)
+    grids = [np.linspace(0.01, 0.4, 25) + k * 1e-3 for k in range(6)]
+    want = {xi: _v_reference(cols, xi) for g in grids for xi in g}
+    errors = []
+
+    def sweep(grid):
+        for _ in range(3):
+            for xi in grid:
+                if not np.array_equal(cols.v(xi), want[xi]):
+                    errors.append(xi)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(g,)) for g in grids]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(cols._v_cache) <= cols.workers

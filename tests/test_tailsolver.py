@@ -1,8 +1,11 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from heavytail.models import (DeterministicLaw, MatrixMixtureLaw, rank1_gauss,
-                              symm)
+from heavytail.models import (DeterministicLaw, MatrixMixtureLaw, ModelSpec,
+                              Variant, VectorMixtureLaw, rank1_gauss, symm)
 from heavytail import tailsolver
 from heavytail.spectral import FirstColumnSample, quadrature_oracle_d1
 from heavytail.tailsolver import (XI1_REFINE_SAMPLES, XI1_REFINE_TOL,
@@ -151,6 +154,31 @@ def test_alpha_curve_shares_one_sample_outside_and_one_inside_window(monkeypatch
         assert got == want
 
 
+def test_alpha_curve_on_two_workers_equals_serial_solves():
+    # the points are solved on a thread pool; each must equal the serial
+    # solve on the same frozen samples, field by field (NaN-aware: reprs
+    # print every float to round trip). The grid covers every status.
+    spec = rank1_gauss(d=2, b=8, eta=1.5)
+    grid = [0.02, 0.12, 0.205, 0.21, 0.3]
+    curve = alpha_curve(spec, grid, samples=20_000, seed=40, workers=2)
+    cols = FirstColumnSample(spec, 20_000, seed=40, workers=2)
+    refined = FirstColumnSample(spec, 20_000 * XI1_REFINE_SAMPLES, seed=40, workers=2)
+    xi1 = solve_xi1(spec, cols=cols)
+    assert curve.xi1 == xi1
+    want = []
+    for xi in grid:
+        if abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1:
+            want.append(solve_alpha(spec, tol_root=1e-3 * XI1_REFINE_TOL, cols=refined,
+                                    xi=xi))
+        else:
+            want.append(solve_alpha(spec, cols=cols, xi=xi))
+    assert [repr(s) for s in curve.solves] == [repr(s) for s in want]
+    assert [s.status for s in curve.solves] == [
+        SolveStatus.NO_ROOT_BELOW_S_MAX, SolveStatus.CONVERGED, SolveStatus.CONVERGED,
+        SolveStatus.CONVERGED, SolveStatus.GAMMA_NON_NEGATIVE]
+    assert sum(abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1 for xi in grid) == 2
+
+
 def test_alpha_below_one_past_xi1():
     # mixture: gamma(xi) stays negative a bit beyond xi_1 = 1, with alpha < 1
     spec = mixture_spec()
@@ -168,6 +196,41 @@ def test_small_xi_exceeds_s_max():
     # xi -> 0+: the root runs off past s_max (alpha -> infinity)
     solve = solve_alpha(mixture_spec(), samples=100, seed=11, xi=0.01)
     assert solve.status is SolveStatus.NO_ROOT_BELOW_S_MAX
+
+
+# --- rotation invariance -------------------------------------------------------
+
+# Non-commuting diagonal atoms: h along e_1 is not k(s). At eta = 1.9 the
+# e_1 Lyapunov value is negative while the recursion's is positive.
+NOT_INVARIANT = symm(d=2, b=1, eta=0.5, h_law=MatrixMixtureLaw(
+    (np.diag([1.0, 3.0]), np.diag([0.2, 0.1])), (0.5, 0.5)))
+
+
+def _solver_calls(spec):
+    return [lambda: solve_alpha(spec, samples=2000, seed=0),
+            lambda: solve_xi1(spec, samples=2000, seed=0),
+            lambda: alpha_curve(spec, [spec.xi], samples=2000, seed=0),
+            lambda: contour_grid(spec, "eta", [spec.eta], [1.0], samples=2000, seed=0)]
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.9])
+def test_solvers_warn_on_a_law_that_is_not_rotation_invariant(eta):
+    for call in _solver_calls(replace(NOT_INVARIANT, eta=eta)):
+        with pytest.warns(RuntimeWarning, match="rotation-invariant"):
+            call()
+
+
+@pytest.mark.parametrize("spec", [
+    rank1_gauss(2, 8, 1.5), mixture_spec(),
+    ModelSpec(Variant.RANK1, d=1, b=1, eta=1.0, a_law=VectorMixtureLaw(
+        (np.array([1.0]), np.array([-1.0]), np.array([2.0])), (0.4, 0.4, 0.2)))],
+    ids=["rank1gauss", "d1-symm-mixture", "d1-rank1-mixture"])
+def test_solvers_silent_on_rotation_invariant_laws(spec):
+    for call in _solver_calls(spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert not [w for w in caught if "rotation-invariant" in str(w.message)]
 
 
 # --- contours ----------------------------------------------------------------
@@ -200,6 +263,38 @@ def test_contour_eta_grid_crossing_decreases():
         above = np.where(grid.h[i] > 1.0)[0]
         crossings.append(grid.s_grid[above[0]] if len(above) else np.inf)
     assert crossings[0] > crossings[1] > crossings[2]
+
+
+def _serial_contour(spec, param, param_grid, s_grid, samples, seed, workers):
+    # column by column, with v from the column formula
+    h = np.full((len(param_grid), len(s_grid)), np.nan)
+    for i, p in enumerate(param_grid):
+        if param == "eta":
+            cols, xi = FirstColumnSample(spec, samples, seed, workers), p / spec.b
+        elif p != int(p):
+            continue
+        else:
+            spec_b = replace(spec, b=int(p))
+            cols = FirstColumnSample(spec_b, samples, (seed, i), workers)
+            xi = spec_b.xi
+        v = np.sqrt(((cols.u[:, None] - xi * cols.cols) ** 2).sum(axis=0))
+        for j, s in enumerate(s_grid):
+            h[i, j] = 1.0 if s == 0 else float(np.average(v ** s, weights=cols.weights))
+    return h
+
+
+@pytest.mark.parametrize("param, param_grid", [("eta", [0.3, 0.75, 1.2, 1.5, 2.0]),
+                                               ("b", [1, 2, 2.5, 4, 7])])
+def test_contour_on_two_workers_equals_serial_columns(param, param_grid):
+    spec = rank1_gauss(2, 5, 0.75)
+    s_grid = [0.0, 0.5, 1.0, 2.5, 4.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the b = 2.5 column
+        grid = contour_grid(spec, param, param_grid, s_grid, samples=5000, seed=21,
+                            workers=2)
+    want = _serial_contour(spec, param, param_grid, s_grid, 5000, 21, 2)
+    assert np.array_equal(grid.h, want, equal_nan=True)
+    assert np.isnan(grid.h).any() == (param == "b")
 
 
 # --- marching squares --------------------------------------------------------

@@ -44,3 +44,24 @@ def test_tracer_binds_and_counts_product_layers(tmp_path, monkeypatch):
     assert metrics["models.sample_h_columns.draws"] > 0
     assert metrics["models.iter_h_blocks.draws"] > 0
     assert metrics["linalg.batch_operator_norms.matrices"] > 0
+
+
+def test_tracer_sees_solves_and_columns_on_pool_threads(tmp_path, monkeypatch):
+    # alphacurve solves and contour columns run on --workers threads; the
+    # tracer must still see every solve and both pools
+    tracing = _load_tracing(monkeypatch)
+    xi_grid = [0.05, 0.1, 0.15]
+    jobs = [
+        ["alphacurve", "--model", "rank1gauss", "--d", "2", "--b", "8", "--eta", "1.5",
+         "--xi-grid", ",".join(map(str, xi_grid)), "--samples", "2000",
+         "--out", tmp_path / "curve.csv"],
+        ["reproduce-fig2", "--samples", "200", "--out", tmp_path / "fig2.csv",
+         "--svg", tmp_path / "fig2.svg"],
+    ]
+    with tracing.installed(tracing.Tracer()) as tracer:
+        for argv in jobs:
+            assert main([str(a) for a in argv] + ["--seed", "3", "--workers", "2"]) == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["tailsolver.solve_alpha.calls"] == len(xi_grid)
+    assert metrics["mc.parallel_tasks.calls"] >= 2
+    assert metrics["spectral.h.calls"] > 0
