@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -65,6 +66,33 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a finite value > 0."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value:g}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for a finite value >= 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value:g}")
     return value
 
 
@@ -204,14 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "alpha is near the tail index.")
     _add_model_args(p)
     _add_common(p)
-    p.add_argument("--alpha", type=float, required=False)
+    p.add_argument("--alpha", type=_positive_float, required=False)
     p.add_argument("--n-grid", default="50,100,200,400,800")
 
     p = sub.add_parser("tailbound", help="finite-iteration exceedance curve + slope")
     _add_model_args(p)
     _add_common(p)
-    p.add_argument("--alpha", type=float, required=False)
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--alpha", type=_positive_float, required=False)
+    p.add_argument("--epsilon", type=_non_negative_float, default=0.5)
     p.add_argument("--n", type=_positive_int, default=20)
     p.add_argument("--t-grid", help="explicit t values (default: data quantiles)")
 
@@ -494,7 +522,10 @@ def _cmd_tailbound(args) -> int:
     if args.t_grid:
         t_grid = _parse_grid(args.t_grid)
     else:
-        # pilot pass to place the grid over the largest usable decade
+        # pilot pass to place the grid over the largest usable decade, whose
+        # top is the 50th largest pilot value
+        if args.samples < 50:
+            raise ConfigurationError("without --t-grid, --samples must be >= 50")
         pilot = mc.parallel_map(
             lambda rng, m: recursion.partial_sum_norms(spec, [args.n], m, rng)[:, 0],
             min(args.samples, 100_000), (args.seed, 1), args.workers)

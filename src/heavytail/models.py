@@ -326,6 +326,13 @@ def _bartlett(spec: ModelSpec) -> bool:
         and isinstance(spec.y_law, GaussianScalarLaw))
 
 
+def independent_gaussian_b(spec: ModelSpec) -> bool:
+    """Whether spec's B is standard Gaussian and drawn independently of H
+    (symm with a ``GaussianVectorLaw`` B law), so that given the A's a sum
+    of Pi_{k-1} B_k is exactly N(0, sum_k Pi_{k-1} Pi_{k-1}^T)."""
+    return spec.variant is Variant.SYMM and isinstance(spec.b_law, GaussianVectorLaw)
+
+
 # A chi^2_1 diagonal (j = b - 1) is drawn as |N(0, 1)|, which has
 # the law of sqrt(chi^2_1) at the cost of one normal. On 5e4 draws (2 vCPU,
 # numpy 2.4) chisquare(1) took 2.5 ms against 1.3 ms for two normals, and

@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
+import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heavytail.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _parse_grid, main
 from heavytail.config import RunConfig
@@ -129,6 +133,17 @@ def test_unknown_subcommand_exits_2():
     ["kcurve", "--model", "rank1gauss", "--eta", "0.5", "--method", "product",
      "--n", "0"],
     ["tailbound", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "1", "--n", "0"],
+    ["moments", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "nan"],
+    ["moments", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "inf"],
+    ["moments", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "0"],
+    ["moments", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "-1"],
+    ["tailbound", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "0"],
+    ["tailbound", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "1",
+     "--epsilon", "nan"],
+    ["tailbound", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "1",
+     "--epsilon", "-inf"],
+    ["tailbound", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "1",
+     "--epsilon", "-0.5"],
 ])
 def test_non_positive_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -136,6 +151,63 @@ def test_non_positive_counts_exit_2(argv, capsys):
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "error: argument --" in err and "Traceback" not in err
+
+
+# Generated flag values: small counts, any float spelling, and text with no
+# digits (so never a large count), which keeps every run to a few thousand
+# path-steps. Three values in four are valid, so that runs get past argparse.
+_JUNK = st.text(alphabet="-+.,eEinfa x", max_size=5)
+
+
+def _mostly(valid, invalid):
+    return st.integers(0, 3).flatmap(lambda i: valid if i else invalid)
+
+
+_COUNT = _mostly(st.integers(1, 120).map(str),
+                 st.one_of(st.integers(-3, 0).map(str), st.floats(-3, 30).map(repr), _JUNK))
+_REAL = _mostly(st.floats(0.01, 4).map(repr), st.one_of(st.floats().map(repr), _JUNK))
+_N_GRID = _mostly(st.lists(st.integers(1, 30), min_size=1, max_size=4).map(
+    lambda ns: ",".join(map(str, ns))),
+    st.one_of(st.lists(st.integers(-3, 30), max_size=4).map(
+        lambda ns: ",".join(map(str, ns))), _JUNK))
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    law = tmp_path_factory.mktemp("fuzz") / "mixture.law"
+    law.write_text(MIX_LAW)
+    return [["--law-file", str(law)],
+            ["--model", "symm-det-identity", "--d", "2", "--eta", "0.5"]]
+
+
+def _exit_code(argv):
+    """main's exit code and standard error, whether it returns or exits."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.integers(0, 1), alpha=_REAL, n_grid=_N_GRID, samples=_COUNT)
+def test_fuzzed_moments_flags_exit_cleanly(fuzz_models, model, alpha, n_grid, samples):
+    code, err = _exit_code(["moments", *fuzz_models[model], f"--alpha={alpha}",
+                            f"--n-grid={n_grid}", f"--samples={samples}"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.integers(0, 1), alpha=_REAL, epsilon=_REAL, n=_COUNT, samples=_COUNT)
+def test_fuzzed_tailbound_flags_exit_cleanly(fuzz_models, model, alpha, epsilon, n,
+                                             samples):
+    code, err = _exit_code(["tailbound", *fuzz_models[model], f"--alpha={alpha}",
+                            f"--epsilon={epsilon}", f"--n={n}", f"--samples={samples}"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err
+    assert "Traceback" not in err
 
 
 def test_config_non_positive_count_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import stats
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,8 +13,9 @@ from heavytail import mc, recursion
 from heavytail.cli import main
 from heavytail.linalg import batch_operator_norms, operator_norm, row_norms
 from heavytail.models import (ConfigurationError, DeterministicLaw,
-                              MatrixMixtureLaw, VectorMixtureLaw, pair_a,
-                              rank1_gauss, sample_pairs, symm)
+                              MatrixMixtureLaw, VectorMixtureLaw,
+                              independent_gaussian_b, pair_a, rank1_gauss,
+                              sample_pairs, symm)
 from heavytail.recursion import (AlphaTilt, ProductState, StopRule, StopStatus,
                                  TiltedPaths, finite_iteration_tail,
                                  moment_growth_curve, partial_sum_norms,
@@ -208,6 +210,116 @@ def test_partial_sum_norms_finite_where_square_overflows():
     spec = symm(d=2, b=1, eta=10.0, h_law=DeterministicLaw(np.eye(2)))
     vals = partial_sum_norms(spec, [10, 300], 3, mc.substream(12))
     assert np.isfinite(vals).all() and (vals[:, 1] > 1e154).all()
+
+
+def _det_identity(d, eta):
+    # H = I, standard Gaussian B: A = (1 - eta) I
+    return symm(d=d, b=1, eta=eta, h_law=DeterministicLaw(np.eye(d)))
+
+
+def _quiet_partial_sums(spec, grid, draws, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return partial_sum_norms(spec, grid, draws, mc.substream(seed))
+
+
+def test_partial_sum_norms_d1_finite_where_square_overflows():
+    # A = -9: |R_300| ~ 9^300 ~ 1e286, with its variance far past 1e308.
+    # H draws no variates, so R_10 = s_10 z_1 and R_300 = R_10 + t z_2 with
+    # s_10^2 = sum_{k<10} 81^k, t^2 = sum_{10<=k<300} 81^k ~ 81^300 / 80,
+    # z_1 and z_2 the stream's first two blocks of normals; the product is
+    # renormalized twice on the way
+    vals = _quiet_partial_sums(_det_identity(1, 10.0), [10, 300], 3, 12)
+    rng = mc.substream(12)
+    z1, z2 = rng.standard_normal(3), rng.standard_normal(3)
+    r10 = np.sqrt((81.0 ** 10 - 1) / 80) * z1
+    assert np.allclose(vals[:, 0], np.abs(r10), rtol=1e-13, atol=0)
+    assert np.allclose(vals[:, 1], np.abs(r10 + 9.0 ** 300 / np.sqrt(80) * z2),
+                       rtol=1e-11, atol=0)
+    assert (vals[:, 1] > 1e154).all()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_partial_sum_norms_under_a_contracting_product(d):
+    # A = 1e-6 I: the product passes 1e-300 by step 51 and the terms after
+    # step 10 are below rounding, so R_300 keeps the bits of R_10
+    vals = _quiet_partial_sums(_det_identity(d, 0.999999), [1, 10, 300], 5, 14)
+    assert np.isfinite(vals).all()
+    assert np.allclose(vals[:, 1], vals[:, 0], rtol=1e-4, atol=0)
+    assert np.array_equal(vals[:, 2], vals[:, 1])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("grid", [[1, 5, 40], [3, 4, 40]])
+def test_partial_sum_norms_of_a_zero_product(d, grid):
+    # A = 0: R_n = B_1 for every n, and every pending covariance after the
+    # first grid point is the zero matrix
+    vals = _quiet_partial_sums(_det_identity(d, 1.0), grid, 6, 15)
+    assert (vals[:, 0] > 0).all()
+    assert np.array_equal(vals, np.repeat(vals[:, :1], len(grid), axis=1))
+
+
+def test_gaussian_b_draw_stays_in_the_range_of_a_singular_covariance():
+    # A = P, the projection on (1, 1)/sqrt(2): Pi_k = P for k >= 1, so
+    # every pending covariance after the first step is k P, which is
+    # singular; its draw must leave R_1 - R_2 as it was
+    m = 20_000
+    proj = np.broadcast_to(np.full((2, 2), 0.5), (m, 2, 2))
+    state = ProductState(2, m, gaussian_b=True)
+    rng = mc.substream(16)
+    state.step(proj)  # Pi_0 Pi_0^T = I
+    state.add_gaussian_b(rng)
+    start = state.r
+    for _ in range(4):
+        state.step(proj)
+    state.add_gaussian_b(rng)
+    inc = state.r - start
+    assert np.allclose(inc[:, 0], inc[:, 1], rtol=0, atol=1e-14)
+    # 4 P has the entries 2: each coordinate of the draw has variance 2
+    assert abs(inc[:, 0].var() - 2.0) < 4 * 2.0 * np.sqrt(2 / m)
+    assert (state.cov == 0).all()
+
+
+def test_independent_gaussian_b_selects_symm_laws_with_gaussian_b():
+    h_law = DeterministicLaw(np.eye(2))
+    assert independent_gaussian_b(symm(d=2, b=1, eta=0.5, h_law=h_law))
+    assert not independent_gaussian_b(half_identity_spec())
+    assert not independent_gaussian_b(rank1_gauss(d=2, b=2, eta=0.5))
+
+
+@pytest.mark.parametrize("d, atoms, probs", [
+    (1, (0.5, 2.5), (0.5, 0.5)),           # the criterion-07 law
+    (2, (0.5, 2.2, 1.0), (0.4, 0.4, 0.2)),  # scalar atoms h I
+], ids=["d1", "d2"])
+def test_tilted_second_moment_matches_exact_sum(d, atoms, probs):
+    # alpha = 2 oracle: given the A's, R_n is N(0, sum_{k<n} Pi_k Pi_k^T),
+    # so E|R_n|^2 = sum_{k<n} E||Pi_k||_F^2 = d sum_{k<n} (E a^2)^k for
+    # scalar atoms a = 1 - h
+    h_law = MatrixMixtureLaw(tuple(h * np.eye(d) for h in atoms), probs)
+    spec = symm(d=d, b=1, eta=1.0, h_law=h_law)
+    ea2 = sum(p * (1 - h) ** 2 for h, p in zip(atoms, probs))
+    curve = moment_growth_curve(spec, alpha=2.0, n_grid=[5, 20, 50],
+                                samples=100_000, seed=33 + d)
+    for n, est in curve:
+        exact = d * sum(ea2 ** k for k in range(n))
+        assert abs(est.mean - exact) < 4 * est.stderr, (n, est.mean, exact)
+
+
+@pytest.mark.parametrize("h_law", [
+    MatrixMixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5)),
+    MatrixMixtureLaw((np.diag([0.5, 1.5]), np.array([[-0.5, 0.5], [0.5, 0.5]])),
+                     (0.4, 0.6)),
+], ids=["d1", "d2"])
+def test_gaussian_b_per_interval_matches_per_step_draws(h_law, monkeypatch):
+    # two-sample KS of |R_n| at each grid point against the drawn-B path,
+    # which runs once independent_gaussian_b is off
+    spec = symm(d=h_law.d, b=1, eta=1.0, h_law=h_law)
+    grid, n = [5, 20, 50], 20_000
+    vals = partial_sum_norms(spec, grid, n, mc.substream(41))
+    monkeypatch.setattr(recursion, "independent_gaussian_b", lambda spec: False)
+    drawn = partial_sum_norms(spec, grid, n, mc.substream(51))
+    for j in range(len(grid)):
+        assert stats.ks_2samp(vals[:, j], drawn[:, j]).pvalue > 0.01
 
 
 def test_row_norms_keep_plain_bits_below_overflow():
