@@ -9,9 +9,7 @@ from .models import (ConfigurationError, DeterministicLaw, GaussianVectorLaw,
 from .recursion import (ProductState, StationaryBatch, StopRule, StopStatus,
                         finite_iteration_tail, moment_growth_curve,
                         sample_r_batch)
-from .spectral import (CurveMethod, FirstColumnSample, LyapunovEstimate,
-                       LyapunovMethod, ProductSample, SpectralCurve, lyapunov,
-                       quadrature_oracle_d1, spectral_curve)
+from .spectral import FirstColumnSample, ProductSample, quadrature_oracle_d1
 from .tailsolver import (AlphaCurve, AlphaSolve, ContourGrid, RangeError,
                          SolveStatus, alpha_curve, contour_grid,
                          marching_squares, solve_alpha, solve_xi1)

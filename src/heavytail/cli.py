@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -171,14 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="tail index: root of h(xi, s) = 1 in s")
     _add_model_args(p)
     _add_common(p, samples_default=200_000)
-    p.add_argument("--tol-root", type=float, default=1e-3)
-    p.add_argument("--s-max", type=float, default=spectral.S_MAX_DEFAULT)
+    p.add_argument("--tol-root", type=_positive_float, default=1e-3)
+    p.add_argument("--s-max", type=_positive_float, default=spectral.S_MAX_DEFAULT)
 
     p = sub.add_parser("alphacurve", help="alpha(xi) over a xi-grid, with xi_1")
     _add_model_args(p)
     _add_common(p, samples_default=200_000)
     p.add_argument("--xi-grid", required=False)
-    p.add_argument("--tol-root", type=float, default=1e-3)
+    p.add_argument("--tol-root", type=_positive_float, default=1e-3)
 
     p = sub.add_parser("contour", help="h over a (param, s) grid + h=1 isoline")
     _add_model_args(p)
@@ -315,39 +316,58 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_kcurve(args) -> int:
+    """k(s) on one frozen sample; s above s_max is not evaluated (NaN rows
+    with n_used 0), since the Monte-Carlo variance is uncontrolled there."""
     spec = _build_spec(args)
     s_grid = _parse_grid(args.s_grid)
-    method = (spectral.CurveMethod.CLOSED_FORM if args.method == "closed"
-              else spectral.CurveMethod.PRODUCT_LIMIT)
-    curve = spectral.spectral_curve(spec, s_grid, args.samples, args.seed,
-                                    method=method, n=args.n, workers=args.workers)
+    s_max = spectral.S_MAX_DEFAULT
+    capped = [s for s in s_grid if s > s_max]
+    if capped:
+        warnings.warn(f"s values {capped} exceed s_max={s_max} and are not "
+                      "evaluated (Monte-Carlo variance is uncontrolled there)",
+                      RuntimeWarning)
     header = ["s", "estimate", "stderr", "method", "n_used"]
-    rows = [[s, est.mean, est.stderr, curve.method.value, est.n]
-            for s, est in zip(curve.s_grid, curve.values)]
-    if curve.ratios:
+    if args.method == "closed":
+        sample = spectral.FirstColumnSample(spec, args.samples, args.seed, args.workers)
+        method, k, ratio = "closed_form", sample.h, None
+    else:
+        sample = spectral.ProductSample(spec, args.n, args.samples, args.seed,
+                                        args.workers)
+        method, k, ratio = "product_limit", sample.k, sample.ratio
         header += ["ratio", "ratio_stderr"]
-        rows = [row + [r.mean, r.stderr] for row, r in zip(rows, curve.ratios)]
+    not_evaluated = mc.McEstimate(math.nan, math.nan, 0)
+    rows = []
+    for s in s_grid:
+        est = not_evaluated if s > s_max else k(s)
+        row = [s, est.mean, est.stderr, method, est.n]
+        if ratio is not None:
+            est = not_evaluated if s > s_max else ratio(s)
+            row += [est.mean, est.stderr]
+        rows.append(row)
     _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
 def _cmd_lyapunov(args) -> int:
     spec = _build_spec(args)
-    method = (spectral.LyapunovMethod.CLOSED_FORM if args.method == "closed"
-              else spectral.LyapunovMethod.SUBADDITIVE_MC)
-    est = spectral.lyapunov(spec, method=method, n=args.n, samples=args.samples,
-                            seed=args.seed, workers=args.workers)
-    print(f"gamma = {est.gamma:.6g} +- {est.stderr:.2g} ({est.method.value})")
+    if args.method == "closed":
+        method = "closed_form"
+        sample = spectral.FirstColumnSample(spec, args.samples, args.seed, args.workers)
+    else:
+        method = "subadditive_mc"
+        sample = spectral.ProductSample(spec, args.n, args.samples, args.seed,
+                                        args.workers)
+    est = sample.gamma()
+    print(f"gamma = {est.mean:.6g} +- {est.stderr:.2g} ({method})")
     _write_csv(args.out, ["gamma", "stderr", "method", "n_used", "skipped"],
-               [[est.gamma, est.stderr, est.method.value, est.n, est.skipped]])
+               [[est.mean, est.stderr, method, est.n, est.skipped]])
     return EXIT_OK
 
 
 def _cmd_alpha(args) -> int:
     spec = _build_spec(args)
-    solve = tailsolver.solve_alpha(spec, tol_root=args.tol_root,
-                                   samples=args.samples, seed=args.seed,
-                                   s_max=args.s_max, workers=args.workers)
+    cols = spectral.FirstColumnSample(spec, args.samples, args.seed, args.workers)
+    solve = tailsolver.solve_alpha(cols, tol_root=args.tol_root, s_max=args.s_max)
     print(f"alpha = {solve.alpha:.6g} +- {solve.stderr_alpha:.2g} "
           f"(xi = {solve.xi:.6g}, status = {solve.status.value})")
     _write_csv(args.out,
@@ -388,12 +408,9 @@ def _cmd_contour(args, param=None, param_grid=None, spec=None, svg_path=None) ->
         if not args.param_grid:
             raise ConfigurationError("--param-grid is required")
         param_grid = _parse_grid(args.param_grid)
-    s_grid = _parse_grid(args.s_grid) if hasattr(args, "s_grid") else \
-        _parse_grid("0.25:0.25:10")
-    clip = getattr(args, "clip", 2.0)
-    grid = tailsolver.contour_grid(spec, param, param_grid, s_grid,
+    grid = tailsolver.contour_grid(spec, param, param_grid, _parse_grid(args.s_grid),
                                    samples=args.samples, seed=args.seed,
-                                   workers=args.workers, clip_level=clip)
+                                   workers=args.workers, clip_level=args.clip)
     rows = []
     for i, p in enumerate(grid.param_grid):
         for j, s in enumerate(grid.s_grid):
@@ -404,7 +421,7 @@ def _cmd_contour(args, param=None, param_grid=None, spec=None, svg_path=None) ->
         svg = svgfig.render_heatmap_svg(
             grid.param_grid, grid.s_grid, grid.h_clipped, grid.isoline,
             param_label=param, s_label="s",
-            title=f"h({param}, s), clipped at {clip:g}; black: h = 1")
+            title=f"h({param}, s), clipped at {args.clip:g}; black: h = 1")
         with open(svg_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(svg)
     return EXIT_OK

@@ -261,8 +261,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.d < 1 or self.b < 1:
             raise ConfigurationError(f"need d >= 1 and b >= 1, got d={self.d}, b={self.b}")
-        if not (self.eta > 0):
-            raise ConfigurationError(f"need eta > 0, got {self.eta}")
+        if not (0 < self.eta < np.inf):
+            raise ConfigurationError(f"need a finite eta > 0, got {self.eta}")
         v = Variant(self.variant)
         object.__setattr__(self, "variant", v)
         if v is Variant.RANK1_GAUSS:

@@ -12,19 +12,19 @@ Three routes are provided and cross-checked elsewhere:
   prefactor C in E||Pi_n||^s ~ C k(s)^n and is reported beside it.
 * quadrature: deterministic oracles for the d=1, b=1 Gaussian reduction.
 
-Curve evaluations over an s-grid reuse one frozen draw (common random
-numbers): of H columns for the closed form, of product log-norms for the
-product limit. So convexity checks and root finding see a smooth function
-of s. Finite-support H laws are enumerated exactly (stderr 0) by the closed
-form instead.
+Every estimate reads one frozen draw (common random numbers): of H columns
+for the closed form (``FirstColumnSample``), of product log-norms for the
+product limit (``ProductSample``). So convexity checks and root finding see
+a smooth function of s. Finite-support H laws are enumerated exactly
+(stderr 0) by the closed form instead. ``FirstColumnSample`` is the one
+place that warns when its law is not rotation-invariant, because h along a
+direction then need not equal k(s).
 """
 
 from __future__ import annotations
 
 import threading
 import warnings
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,45 +38,6 @@ from .recursion import ProductState
 S_MAX_DEFAULT = 30.0
 GAUSS_TAIL_CUT = 40.0  # N(0,1) mass beyond |a|=40 is < 1e-300
 QUAD_ABS_TOL = 1e-10
-
-
-class CurveMethod(str, Enum):
-    CLOSED_FORM = "closed_form"
-    PRODUCT_LIMIT = "product_limit"
-    QUADRATURE = "quadrature"
-
-
-class LyapunovMethod(str, Enum):
-    CLOSED_FORM = "closed_form"
-    SUBADDITIVE_MC = "subadditive_mc"
-
-
-@dataclass(frozen=True)
-class SpectralCurve:
-    """Sampled s -> k(s) (or h(xi, s)) with domain bookkeeping."""
-
-    s_grid: tuple[float, ...]
-    values: tuple[mc.McEstimate, ...]
-    method: CurveMethod
-    s0_hint: float = np.inf  # supremum of the finite-moment domain, if known
-    ratios: tuple[mc.McEstimate, ...] = ()  # product limit: ProductSample.ratio
-
-
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    gamma: float
-    stderr: float
-    method: LyapunovMethod
-    n: int = 0
-    skipped: int = 0
-
-
-def _warn_if_not_rotation_invariant(spec: ModelSpec, what: str) -> None:
-    if not spec.rotation_invariant:
-        warnings.warn(
-            f"{what} assumes a rotation-invariant H law; for this model it "
-            "is the value along e_1 only, which can lie above or below the "
-            "true value", RuntimeWarning, stacklevel=3)
 
 
 class FirstColumnSample:
@@ -94,6 +55,11 @@ class FirstColumnSample:
 
     def __init__(self, spec: ModelSpec, samples: int, seed: mc.Seed,
                  workers: int | None = None, direction: np.ndarray | None = None):
+        if not spec.rotation_invariant:
+            warnings.warn(
+                "the frozen-column h assumes a rotation-invariant H law; for "
+                "this model it is the value along one direction only, which "
+                "can lie above or below k(s)", RuntimeWarning, stacklevel=2)
         self.spec = spec
         self.seed = seed
         self.workers = mc.resolve_workers(workers)
@@ -195,6 +161,13 @@ class FirstColumnSample:
         with np.errstate(divide="ignore"):
             return self._moment(np.log(self.v(xi)), "zero-norm")
 
+    def h_row(self, xi: float, s_grid) -> np.ndarray:
+        """Mean-only h(xi, s) for each s of ``s_grid``: no stderr, no skip
+        count, and a non-finite value is kept as it is."""
+        v = self.v(xi)
+        return np.array([1.0 if s == 0 else float(np.average(v ** s, weights=self.weights))
+                         for s in s_grid])
+
     def mean_h11(self) -> mc.McEstimate:
         """E <H u, u> on the frozen draw (positivity precondition checks)."""
         return self._moment(self.u @ self.cols, "non-finite")
@@ -286,55 +259,6 @@ class ProductSample:
         """Mean of log ||Pi_n|| / n over the draws."""
         return mc.estimate_from_values(self.log_n / self.n, seed=self.seed,
                                        workers=self.workers)
-
-
-def spectral_curve(spec: ModelSpec, s_grid, samples: int, seed: int,
-                   method: CurveMethod = CurveMethod.CLOSED_FORM,
-                   n: int = 40, workers: int | None = None,
-                   s_max: float = S_MAX_DEFAULT) -> SpectralCurve:
-    """k(s) over an s-grid; every s shares one frozen draw (CRN).
-
-    Product-limit curves also carry the ratio estimate per s in ``ratios``.
-    """
-    s_grid = tuple(float(s) for s in s_grid)
-    flagged = [s for s in s_grid if s > s_max]
-    if flagged:
-        warnings.warn(f"s values {flagged} exceed s_max={s_max} and are not "
-                      "evaluated (Monte-Carlo variance is uncontrolled there)",
-                      RuntimeWarning, stacklevel=2)
-    capped = set(flagged)
-    nan_est = mc.McEstimate(np.nan, np.nan, 0, 0, seed, mc.resolve_workers(workers))
-    if method is CurveMethod.CLOSED_FORM:
-        _warn_if_not_rotation_invariant(spec, "closed-form curve")
-        cols = FirstColumnSample(spec, samples, seed, workers)
-        values = tuple(nan_est if s in capped else cols.h(s) for s in s_grid)
-        ratios = ()
-    elif method is CurveMethod.PRODUCT_LIMIT:
-        products = ProductSample(spec, n, samples, seed, workers)
-        values = tuple(nan_est if s in capped else products.k(s) for s in s_grid)
-        ratios = tuple(nan_est if s in capped else products.ratio(s) for s in s_grid)
-    else:
-        raise ValueError("quadrature curves are produced by quadrature_oracle_d1")
-    # every built-in law has light-tailed ||A||, so the moment domain is [0, inf)
-    return SpectralCurve(s_grid=s_grid, values=values, method=method, s0_hint=np.inf,
-                         ratios=ratios)
-
-
-def lyapunov(spec: ModelSpec, method: LyapunovMethod = LyapunovMethod.CLOSED_FORM,
-             n: int = 200, samples: int = 100_000, seed: int = 0,
-             workers: int | None = None) -> LyapunovEstimate:
-    """Top Lyapunov exponent via the closed form or the subadditive limit.
-
-    closed_form: E log|(I - xi*H) e_1| (rotation-invariant laws).
-    subadditive_mc: mean over draws of (1/n) log ||Pi_n||.
-    """
-    method = LyapunovMethod(method)
-    if method is LyapunovMethod.CLOSED_FORM:
-        _warn_if_not_rotation_invariant(spec, "closed-form Lyapunov exponent")
-        est = FirstColumnSample(spec, samples, seed, workers).gamma()
-        return LyapunovEstimate(est.mean, est.stderr, method, est.n, est.skipped)
-    est = ProductSample(spec, n, samples, seed, workers).gamma()
-    return LyapunovEstimate(est.mean, est.stderr, method, est.n, est.skipped)
 
 
 # ---------------------------------------------------------------------------

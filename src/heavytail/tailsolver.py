@@ -5,7 +5,9 @@ h(., 1) - 1 is the critical step ratio xi_1 beyond which the stationary law
 loses its mean. Both solves run on a common-random-numbers frozen draw of H
 (exact enumeration for finite-support laws), so the function being bisected
 is deterministic and strictly convex up to float rounding; bisection is
-followed by an optional Newton polish using the s-derivative.
+followed by a Newton polish using the s-derivative. The solvers take that
+draw, a ``FirstColumnSample``, and nothing else; ``alpha_curve`` and
+``contour_grid`` decide which samples to draw.
 
 Uniqueness of the s-root on (0, s_max] follows from strict convexity of
 s -> h(xi, s) together with h(xi, 0) = 1.
@@ -21,8 +23,7 @@ import numpy as np
 
 from . import mc
 from .models import ModelSpec
-from .spectral import (S_MAX_DEFAULT, FirstColumnSample,
-                       _warn_if_not_rotation_invariant)
+from .spectral import S_MAX_DEFAULT, FirstColumnSample
 
 XI1_REFINE_WINDOW = 0.05   # within 5% of xi_1 the root is shallow; refine
 XI1_REFINE_SAMPLES = 4     # sample multiplier inside the window
@@ -37,11 +38,7 @@ class SolveStatus(str, Enum):
 
 
 class RangeError(RuntimeError):
-    """Root scan found no sign change; carries the scan for diagnosis."""
-
-    def __init__(self, message: str, scan=None):
-        super().__init__(message)
-        self.scan = scan
+    """Root scan found no sign change, or its precondition failed."""
 
 
 @dataclass(frozen=True)
@@ -86,25 +83,18 @@ def _bisect_on(fn, lo: float, hi: float, f_lo: float, f_hi: float,
     return mid, f_mid, lo, hi, f_lo, f_hi
 
 
-def solve_alpha(spec: ModelSpec, tol_root: float = 1e-3, samples: int = 200_000,
-                seed: int = 0, s_max: float = S_MAX_DEFAULT,
-                workers: int | None = None, newton_polish: bool = True,
-                cols: FirstColumnSample | None = None,
-                xi: float | None = None) -> AlphaSolve:
+def solve_alpha(cols: FirstColumnSample, tol_root: float = 1e-3,
+                s_max: float = S_MAX_DEFAULT, xi: float | None = None) -> AlphaSolve:
     """Root of s -> h(xi, s) - 1 on (0, s_max], frozen-draw deterministic.
 
-    tol_root is in h-units. Status is gamma_non_negative when the Lyapunov
-    estimate at xi is nonnegative beyond noise (no positive root exists, by
-    convexity), and no_root_below_s_max when h stays below 1 on the scan.
-    stderr_alpha propagates the Monte-Carlo uncertainty of h through the
-    local slope: stderr(h at root) / |dh/ds at root|. When it draws its own
-    columns it warns on an H law that is not rotation-invariant; a caller
-    that passes ``cols`` owns that check.
+    xi defaults to that of the sample's law. tol_root is in h-units. Status
+    is gamma_non_negative when the Lyapunov estimate at xi is nonnegative
+    beyond noise (no positive root exists, by convexity), and
+    no_root_below_s_max when h stays below 1 on the scan. stderr_alpha
+    propagates the Monte-Carlo uncertainty of h through the local slope:
+    stderr(h at root) / |dh/ds at root|.
     """
-    if cols is None:
-        _warn_if_not_rotation_invariant(spec, "solve_alpha")
-        cols = FirstColumnSample(spec, samples, seed, workers)
-    xi = spec.xi if xi is None else xi
+    xi = cols.spec.xi if xi is None else xi
     gam = cols.gamma(xi)
     if gam.mean >= 3.0 * gam.stderr:
         return AlphaSolve(xi=xi, alpha=np.nan, residual=np.nan,
@@ -121,10 +111,8 @@ def solve_alpha(spec: ModelSpec, tol_root: float = 1e-3, samples: int = 200_000,
     grid = np.concatenate(([min(1e-4, s_max / 2)], np.linspace(0.0, s_max, 121)[1:]))
     f_prev, s_prev = None, 0.0
     bracket = None
-    scan = []
     for s in grid:
         val = f(s)
-        scan.append((s, val + 1.0))
         if f_prev is not None and f_prev < 0 <= val:
             bracket = (s_prev, s, f_prev, val)
             break
@@ -136,18 +124,17 @@ def solve_alpha(spec: ModelSpec, tol_root: float = 1e-3, samples: int = 200_000,
                           gamma=gam.mean, gamma_stderr=gam.stderr)
     lo, hi, f_lo, f_hi = bracket
     root, resid, lo, hi, f_lo, f_hi = _bisect_on(f, lo, hi, f_lo, f_hi, tol_root)
-    if newton_polish:
-        for _ in range(4):
-            slope = cols.dh_ds(root, xi).mean
-            if not np.isfinite(slope) or slope <= 0:
-                break
-            cand = min(max(root - resid / slope, lo), hi)
-            if cand == root:
-                break
-            root = cand
-            resid = f(root)
-            if abs(resid) <= tol_root * 1e-6:
-                break
+    for _ in range(4):
+        slope = cols.dh_ds(root, xi).mean
+        if not np.isfinite(slope) or slope <= 0:
+            break
+        cand = min(max(root - resid / slope, lo), hi)
+        if cand == root:
+            break
+        root = cand
+        resid = f(root)
+        if abs(resid) <= tol_root * 1e-6:
+            break
     h_at = cols.h(root, xi)
     slope = cols.dh_ds(root, xi).mean
     stderr_alpha = h_at.stderr / abs(slope) if slope else np.inf
@@ -157,20 +144,13 @@ def solve_alpha(spec: ModelSpec, tol_root: float = 1e-3, samples: int = 200_000,
                       gamma_stderr=gam.stderr, h_stderr=h_at.stderr)
 
 
-def solve_xi1(spec: ModelSpec, tol_root: float = 1e-3, samples: int = 200_000,
-              seed: int = 0, xi_max: float | None = None,
-              workers: int | None = None,
-              cols: FirstColumnSample | None = None) -> float:
+def solve_xi1(cols: FirstColumnSample, tol_root: float = 1e-3) -> float:
     """Unique xi_1 > 0 with h(xi_1, 1) = 1, by bracketed bisection in xi.
 
     Precondition E<H e_1, e_1> > 0 is estimated on the frozen draw and must
     hold beyond 3 standard errors. The same frozen columns evaluate h(xi, 1)
     for every xi (the columns do not depend on xi), so the scan is smooth.
-    It warns on a law that is not rotation-invariant as ``solve_alpha`` does.
     """
-    if cols is None:
-        _warn_if_not_rotation_invariant(spec, "solve_xi1")
-        cols = FirstColumnSample(spec, samples, seed, workers)
     h11 = cols.mean_h11()
     if not (h11.mean > 3.0 * h11.stderr):
         raise RangeError(
@@ -182,14 +162,12 @@ def solve_xi1(spec: ModelSpec, tol_root: float = 1e-3, samples: int = 200_000,
 
     # h(., 1) is strictly convex with g(0) = 0 and negative slope at 0;
     # scan geometrically for the sign change back to positive
-    hi_limit = xi_max if xi_max is not None else 16.0 / max(h11.mean, 1e-12)
-    scan = []
+    hi_limit = 16.0 / max(h11.mean, 1e-12)
     xi_lo, g_lo = None, None
     xi = hi_limit / 1024.0
     found = None
     while xi <= hi_limit * (1 + 1e-12):
         val = g(xi)
-        scan.append((xi, val + 1.0))
         if val < 0:
             xi_lo, g_lo = xi, val
         elif xi_lo is not None and val >= 0:
@@ -197,8 +175,7 @@ def solve_xi1(spec: ModelSpec, tol_root: float = 1e-3, samples: int = 200_000,
             break
         xi *= 1.5
     if found is None:
-        raise RangeError("no sign change of h(., 1) - 1 on the scanned xi range",
-                         scan=scan)
+        raise RangeError("no sign change of h(., 1) - 1 on the scanned xi range")
     lo, hi, f_lo, f_hi = found
     root, resid, lo, hi, f_lo, f_hi = _bisect_on(g, lo, hi, f_lo, f_hi, tol_root)
     # secant polish inside the bracket (the bisection tolerance is in h-units;
@@ -235,10 +212,9 @@ def alpha_curve(spec: ModelSpec, xi_grid, tol_root: float = 1e-3,
     The points are solved on ``workers`` threads. Each depends only on the
     frozen samples and xi_1, so the curve does not depend on scheduling.
     """
-    _warn_if_not_rotation_invariant(spec, "alpha_curve")
     xi_grid = tuple(float(x) for x in xi_grid)
     cols = FirstColumnSample(spec, samples, seed, workers)
-    xi1 = solve_xi1(spec, tol_root=tol_root, cols=cols)
+    xi1 = solve_xi1(cols, tol_root=tol_root)
     near = [abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1 for xi in xi_grid]
     refined = (FirstColumnSample(spec, samples * XI1_REFINE_SAMPLES, seed, workers)
                if any(near) else None)
@@ -250,7 +226,7 @@ def alpha_curve(spec: ModelSpec, xi_grid, tol_root: float = 1e-3,
         else:
             tol, point_cols = tol_root, cols
         try:
-            return solve_alpha(spec, tol_root=tol, cols=point_cols, xi=xi)
+            return solve_alpha(point_cols, tol_root=tol, xi=xi)
         except (RangeError, ValueError, ArithmeticError) as exc:
             # a numerical failure is recorded and the curve continues; any
             # other exception is a bug and propagates
@@ -316,7 +292,6 @@ def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
     """
     if param not in ("b", "eta"):
         raise ValueError("param must be 'b' or 'eta'")
-    _warn_if_not_rotation_invariant(spec, "contour_grid")
     param_grid = tuple(float(p) for p in param_grid)
     s_grid = tuple(float(s) for s in s_grid)
     if param == "eta":
@@ -333,9 +308,7 @@ def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
             spec_b = replace(spec, b=int(p))
             cols = FirstColumnSample(spec_b, samples, (seed, i), workers)
             xi = spec_b.xi
-        v = cols.v(xi)
-        return np.array([1.0 if s == 0 else float(np.average(v ** s, weights=cols.weights))
-                         for s in s_grid])
+        return cols.h_row(xi, s_grid)
 
     # a pool around the b-columns' own sampling pools put more threads on
     # their own malloc arenas, and some runs then peaked 15-35 MiB higher

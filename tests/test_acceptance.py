@@ -19,8 +19,8 @@ from heavytail.empirics import (IntegrabilityTarget, angular_exceedance_test,
 from heavytail.models import MatrixMixtureLaw, rank1_gauss, symm
 from heavytail.recursion import moment_growth_curve, finite_iteration_tail, \
     partial_sum_norms, sample_r_batch
-from heavytail.spectral import (FirstColumnSample, LyapunovMethod,
-                                ProductSample, lyapunov, quadrature_oracle_d1)
+from heavytail.spectral import (FirstColumnSample, ProductSample,
+                                quadrature_oracle_d1)
 from heavytail.tailsolver import SolveStatus, solve_alpha, solve_xi1
 from heavytail.transferop import (build_operator,
                                   eigenfunction_representation_check,
@@ -86,13 +86,12 @@ def test_criterion_03_lyapunov_three_routes_agree():
     delta = 1e-3
     fd_vals = (cols.v(D2B8.xi) ** delta - 1.0) / delta
     fd = mc.estimate_from_values(fd_vals)
-    gam_sub = lyapunov(D2B8, LyapunovMethod.SUBADDITIVE_MC, n=200,
-                       samples=50, seed=301)
-    pairs = [("closed vs subadditive", gam_closed.mean - gam_sub.gamma,
+    gam_sub = ProductSample(D2B8, n=200, samples=50, seed=301).gamma()
+    pairs = [("closed vs subadditive", gam_closed.mean - gam_sub.mean,
               np.hypot(gam_closed.stderr, gam_sub.stderr)),
              ("closed vs fd-slope", gam_closed.mean - fd.mean,
               np.hypot(gam_closed.stderr, fd.stderr)),
-             ("subadditive vs fd-slope", gam_sub.gamma - fd.mean,
+             ("subadditive vs fd-slope", gam_sub.mean - fd.mean,
               np.hypot(gam_sub.stderr, fd.stderr))]
     worst = max(abs(d) / u for _, d, u in pairs)
     report("03 Lyapunov route consistency", worst <= 4.0,
@@ -102,8 +101,8 @@ def test_criterion_03_lyapunov_three_routes_agree():
 
 def test_criterion_04_exact_mixture_roots():
     spec = mixture_alpha1_spec()
-    solve = solve_alpha(spec, samples=1000, seed=400)
-    xi1 = solve_xi1(spec, samples=1000, seed=401)
+    solve = solve_alpha(FirstColumnSample(spec, 1000, seed=400))
+    xi1 = solve_xi1(FirstColumnSample(spec, 1000, seed=401))
     ok = (solve.status is SolveStatus.CONVERGED
           and abs(solve.alpha - 1.0) <= 1e-3 and abs(xi1 - 1.0) <= 1e-3)
     report("04 exact mixture roots", ok,
@@ -136,7 +135,7 @@ def test_criterion_05_pipeline_tail_closure():
 def test_criterion_06_angular_uniformity():
     # eta = 1.5 sits inside (0, b*xi1): xi = 0.1875 < xi1(d=2, b=8) ~ 0.210
     spec = rank1_gauss(d=2, b=8, eta=1.5)
-    xi1 = solve_xi1(spec, samples=400_000, seed=600)
+    xi1 = solve_xi1(FirstColumnSample(spec, 400_000, seed=600))
     assert spec.xi < xi1
     batch = sample_r_batch(spec, 1_000_000, mc.substream(601))
     rep = angular_exceedance_test(batch.r, threshold_quantile=0.99, level=0.01)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavytail.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _parse_grid, main
+from heavytail.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, INLINE_MODELS,
+                           _parse_grid, main)
 from heavytail.config import RunConfig
 from heavytail.models import ConfigurationError
 
@@ -144,6 +145,13 @@ def test_unknown_subcommand_exits_2():
      "--epsilon", "-inf"],
     ["tailbound", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "1",
      "--epsilon", "-0.5"],
+    ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--s-max", "nan"],
+    ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--s-max", "inf"],
+    ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--s-max", "0"],
+    ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--tol-root", "-1"],
+    ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--tol-root", "nan"],
+    ["alphacurve", "--model", "rank1gauss", "--eta", "0.5", "--xi-grid", "0.1",
+     "--tol-root", "0"],
 ])
 def test_non_positive_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -151,6 +159,24 @@ def test_non_positive_counts_exit_2(argv, capsys):
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "error: argument --" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--model", "symm-det-identity", "--d", "2", "--eta", "inf",
+     "--alpha", "1"],
+    ["simulate", "--model", "rank1gauss", "--eta", "inf"],
+    ["kcurve", "--model", "rank1gauss", "--eta", "inf"],
+    ["alpha", "--model", "rank1gauss", "--eta", "nan"],
+    ["lyapunov", "--model", "rank1gauss", "--eta=-inf"],
+    ["alpha", "--law-file", "{inf_law}"],
+])
+def test_non_finite_eta_exits_2(argv, tmp_path, capsys):
+    law = tmp_path / "inf.law"
+    law.write_text(MIX_LAW.replace("eta = 1.0", "eta = inf"))
+    argv = [law if a == "{inf_law}" else a for a in argv]
+    assert run_cli(argv + ["--samples", "10"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "finite eta > 0" in err and "Traceback" not in err
 
 
 # Generated flag values: small counts, any float spelling, and text with no
@@ -191,23 +217,66 @@ def _exit_code(argv):
     return code, err.getvalue()
 
 
+def _fuzz_exits_cleanly(argv):
+    code, err = _exit_code(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err
+    assert "Traceback" not in err
+
+
 @settings(max_examples=60, deadline=None)
 @given(model=st.integers(0, 1), alpha=_REAL, n_grid=_N_GRID, samples=_COUNT)
 def test_fuzzed_moments_flags_exit_cleanly(fuzz_models, model, alpha, n_grid, samples):
-    code, err = _exit_code(["moments", *fuzz_models[model], f"--alpha={alpha}",
-                            f"--n-grid={n_grid}", f"--samples={samples}"])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err
-    assert "Traceback" not in err
+    _fuzz_exits_cleanly(["moments", *fuzz_models[model], f"--alpha={alpha}",
+                         f"--n-grid={n_grid}", f"--samples={samples}"])
 
 
 @settings(max_examples=60, deadline=None)
 @given(model=st.integers(0, 1), alpha=_REAL, epsilon=_REAL, n=_COUNT, samples=_COUNT)
 def test_fuzzed_tailbound_flags_exit_cleanly(fuzz_models, model, alpha, epsilon, n,
                                              samples):
-    code, err = _exit_code(["tailbound", *fuzz_models[model], f"--alpha={alpha}",
-                            f"--epsilon={epsilon}", f"--n={n}", f"--samples={samples}"])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err
-    assert "Traceback" not in err
+    _fuzz_exits_cleanly(["tailbound", *fuzz_models[model], f"--alpha={alpha}",
+                         f"--epsilon={epsilon}", f"--n={n}", f"--samples={samples}"])
+
+
+_DIM = st.integers(-2, 6).map(str)
+# An s-grid is a comma list of at most 6 values, never start:step:stop, so
+# no run can ask for a huge grid.
+_S_GRID = st.lists(_mostly(st.floats(0, 40).map(repr), st.floats().map(repr)),
+                   max_size=6).map(",".join)
+
+
+def _model_flags(fuzz_models):
+    """Any built-in model or the law file, with --d and --b in -2..6, so
+    every run stays tiny."""
+    models = [fuzz_models[0]] + [["--model", m] for m in INLINE_MODELS]
+    return st.tuples(st.sampled_from(models), _DIM, _DIM, _REAL).map(
+        lambda t: [*t[0], f"--d={t[1]}", f"--b={t[2]}", f"--eta={t[3]}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), tol_root=_REAL, samples=_COUNT,
+       s_max=_mostly(st.floats(0.01, 40).map(repr), st.one_of(st.floats().map(repr), _JUNK)))
+def test_fuzzed_alpha_flags_exit_cleanly(fuzz_models, data, tol_root, s_max, samples):
+    _fuzz_exits_cleanly(["alpha", *data.draw(_model_flags(fuzz_models)),
+                         f"--tol-root={tol_root}", f"--s-max={s_max}",
+                         f"--samples={samples}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), method=st.sampled_from(["closed", "product", "exact"]),
+       s_grid=_S_GRID, n=_COUNT, samples=_COUNT)
+def test_fuzzed_kcurve_flags_exit_cleanly(fuzz_models, data, method, s_grid, n, samples):
+    _fuzz_exits_cleanly(["kcurve", *data.draw(_model_flags(fuzz_models)),
+                         f"--method={method}", f"--s-grid={s_grid}", f"--n={n}",
+                         f"--samples={samples}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), method=st.sampled_from(["closed", "subadditive", "exact"]),
+       n=_COUNT, samples=_COUNT)
+def test_fuzzed_lyapunov_flags_exit_cleanly(fuzz_models, data, method, n, samples):
+    _fuzz_exits_cleanly(["lyapunov", *data.draw(_model_flags(fuzz_models)),
+                         f"--method={method}", f"--n={n}", f"--samples={samples}"])
 
 
 def test_config_non_positive_count_exits_2(tmp_path, capsys):
@@ -317,6 +386,55 @@ def test_two_workers_byte_identical_across_runs(cmd, tmp_path):
         assert run_cli(argv + ["--out", out]) == EXIT_OK
         runs.append(out.read_bytes())
     assert runs[0] == runs[1]
+
+
+_D2B4 = ["--model", "rank1gauss", "--d", "2", "--b", "4"]
+_D2B8 = ["--model", "rank1gauss", "--d", "2", "--b", "8"]
+
+# Small runs of the frozen-sample commands at --seed 7 --workers 2. The
+# closed kcurve grid reaches past s_max = 30, so two of its rows are capped.
+FROZEN_SAMPLE_COMMANDS = {
+    "kcurve-closed": ["kcurve", *_D2B4, "--eta", "0.5", "--s-grid", "0,1,2.5,29,31,40",
+                      "--samples", "2000"],
+    "kcurve-product": ["kcurve", *_D2B4, "--eta", "0.5", "--method", "product",
+                       "--n", "6", "--s-grid", "0.5,1,31", "--samples", "300"],
+    "lyapunov-closed": ["lyapunov", *_D2B8, "--eta", "0.3", "--samples", "2000"],
+    "lyapunov-subadditive": ["lyapunov", *_D2B8, "--eta", "0.3", "--method",
+                             "subadditive", "--n", "10", "--samples", "200"],
+    "alpha": ["alpha", *_D2B8, "--eta", "1.5", "--samples", "2000"],
+    "alphacurve": ["alphacurve", *_D2B8, "--eta", "1.5", "--xi-grid", "0.05,0.2,0.21",
+                   "--samples", "2000"],
+    "contour-b": ["contour", "--model", "rank1gauss", "--d", "2", "--b", "1",
+                  "--eta", "0.75", "--param", "b", "--param-grid", "1,2,3",
+                  "--s-grid", "0.5:0.5:3", "--samples", "1000"],
+}
+
+# sha256 of the CSV, then the SVG (contour only), then standard output, as
+# written when each solver drew its own sample from (spec, samples, seed).
+FROZEN_SAMPLE_SHA256 = {
+    "alpha": "438a234a9d8aac121e4592aff118c72fea8403c6d33935dd10b886ac7660f0f7",
+    "alphacurve": "50ff390e19520e4b7dc6c4986b37bb75c820ed812d60183df5361249ef42e9a1",
+    "contour-b": "cc6fa1a914755f9286f8248ac25207e80d07b2ab4aef4efd04a266b309b9c86f",
+    "kcurve-closed": "c7b3c8a179605a17bfe6fdaa50c8bbd838d7b1f18def39494dd7e237228612d6",
+    "kcurve-product": "5207f0a8b50b50219a51ca326ab06969da1b20093cf14e0ed4c333006cadc088",
+    "lyapunov-closed": "358e3c103238679ad72be0f8831f86b37a04bc106abd745f8863cf6b23eec592",
+    "lyapunov-subadditive":
+        "399c2e875167e4e1cdc07a0fa456d7924bc7134a4ce524539e27890f8a55e8b1",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(FROZEN_SAMPLE_COMMANDS))
+def test_frozen_sample_commands_keep_their_bytes(cmd, tmp_path, capsys):
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    argv = FROZEN_SAMPLE_COMMANDS[cmd] + ["--seed", "7", "--workers", "2", "--out", out]
+    if cmd.startswith("contour"):
+        argv += ["--svg", svg]
+    assert run_cli(argv) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes())
+    if svg.exists():
+        digest.update(svg.read_bytes())
+    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == FROZEN_SAMPLE_SHA256[cmd]
 
 
 NOT_INVARIANT_LAW = """\

@@ -1,15 +1,17 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavytail import mc
+from heavytail.cli import EXIT_OK, main
 from heavytail.models import (DeterministicLaw, MatrixMixtureLaw, h_sum_support,
                               rank1_gauss, symm)
 from heavytail import spectral
-from heavytail.spectral import (CurveMethod, FirstColumnSample, LyapunovMethod,
-                                ProductSample, lyapunov, quadrature_oracle_d1,
-                                spectral_curve)
+from heavytail.spectral import FirstColumnSample, ProductSample, quadrature_oracle_d1
 
 
 # --- quadrature oracle -------------------------------------------------------
@@ -71,7 +73,7 @@ def test_h_closed_form_warns_off_rotation_invariance():
     law = DeterministicLaw(np.diag([1.0, 2.0]))
     spec = symm(d=2, b=1, eta=0.5, h_law=law)
     with pytest.warns(RuntimeWarning, match="rotation-invariant"):
-        spectral_curve(spec, [1.0], 10, seed=0)
+        FirstColumnSample(spec, 10, seed=0).h(1.0)
 
 
 def test_h_negative_s_rejected():
@@ -162,13 +164,27 @@ def test_product_ratio_cancels_the_prefactor():
     assert k40.mean - exact > 4 * k40.stderr
 
 
+def _kcurve_rows(argv):
+    """The CSV rows ``kcurve`` writes to standard output, split on commas."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["kcurve", *map(str, argv)]) == EXIT_OK
+    return [line.split(",") for line in out.getvalue().splitlines()[1:]]
+
+
 def test_product_curve_equals_a_separate_sample_bit_for_bit():
     spec = rank1_gauss(d=2, b=4, eta=0.4)
-    curve = spectral_curve(spec, [0.5, 1.0, 2.5], 2000, seed=23,
-                           method=CurveMethod.PRODUCT_LIMIT, n=12, workers=2)
+    rows = _kcurve_rows(["--model", "rank1gauss", "--d", 2, "--b", 4, "--eta", 0.4,
+                         "--method", "product", "--n", 12, "--s-grid", "0.5,1.0,2.5",
+                         "--samples", 2000, "--seed", 23, "--workers", 2])
     products = ProductSample(spec, n=12, samples=2000, seed=23, workers=2)
-    assert curve.values == tuple(products.k(s) for s in curve.s_grid)
-    assert curve.ratios == tuple(products.ratio(s) for s in curve.s_grid)
+    # a CSV float is repr(x), which parses back to x exactly
+    assert len(rows) == 3
+    for row, s in zip(rows, (0.5, 1.0, 2.5)):
+        k, r = products.k(s), products.ratio(s)
+        assert [float(row[0]), float(row[1]), float(row[2]), row[3], int(row[4]),
+                float(row[5]), float(row[6])] == [s, k.mean, k.stderr, "product_limit",
+                                                  k.n, r.mean, r.stderr]
 
 
 @settings(max_examples=15, deadline=None)
@@ -184,36 +200,37 @@ def test_product_curve_draws_once_per_worker(grid, workers):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "product_log_norms", counted)
-        curve = spectral_curve(rank1_gauss(2, 2, 0.5), grid, 12, seed=25,
-                               method=CurveMethod.PRODUCT_LIMIT, n=4, workers=workers)
+        rows = _kcurve_rows(["--model", "rank1gauss", "--d", 2, "--b", 2, "--eta", 0.5,
+                             "--method", "product", "--n", 4,
+                             "--s-grid", ",".join(map(repr, grid)), "--samples", 12,
+                             "--seed", 25, "--workers", workers])
     assert len(calls) == workers
-    assert len(curve.values) == len(curve.ratios) == len(grid)
+    assert len(rows) == len(grid) and all(len(r) == 7 for r in rows)
 
 
 # --- Lyapunov ----------------------------------------------------------------
 
 def test_lyapunov_deterministic_half():
     spec = symm(d=2, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(2)))
-    est = lyapunov(spec, LyapunovMethod.CLOSED_FORM, samples=100, seed=11)
-    assert est.gamma == pytest.approx(np.log(0.5), rel=1e-12)
+    est = FirstColumnSample(spec, 100, seed=11).gamma()
+    assert est.mean == pytest.approx(np.log(0.5), rel=1e-12)
     assert est.stderr == 0.0
 
 
 def test_lyapunov_xi_zero():
     spec = rank1_gauss(d=2, b=2, eta=1e-12)
-    est = lyapunov(spec, LyapunovMethod.CLOSED_FORM, samples=10_000, seed=12)
-    assert abs(est.gamma) < 1e-10
+    est = FirstColumnSample(spec, 10_000, seed=12).gamma()
+    assert abs(est.mean) < 1e-10
 
 
 def test_lyapunov_methods_agree_with_quadrature():
     spec = rank1_gauss(d=1, b=1, eta=0.2)
     oracle = quadrature_oracle_d1(0.2, "log")
-    closed = lyapunov(spec, LyapunovMethod.CLOSED_FORM, samples=400_000, seed=13)
-    assert abs(closed.gamma - oracle) < 4 * closed.stderr
-    sub = lyapunov(spec, LyapunovMethod.SUBADDITIVE_MC, n=200, samples=3000,
-                   seed=14)
+    closed = FirstColumnSample(spec, 400_000, seed=13).gamma()
+    assert abs(closed.mean - oracle) < 4 * closed.stderr
+    sub = ProductSample(spec, n=200, samples=3000, seed=14).gamma()
     tol = 4 * np.hypot(closed.stderr, sub.stderr)
-    assert abs(sub.gamma - closed.gamma) < tol
+    assert abs(sub.mean - closed.mean) < tol
 
 
 def test_mean_norm_below_one_implies_negative_gamma():
@@ -224,8 +241,8 @@ def test_mean_norm_below_one_implies_negative_gamma():
     from heavytail.models import pair_a, sample_h_sums
     norms = batch_operator_norms(pair_a(spec, sample_h_sums(spec, 50_000, rng)))
     assert norms.mean() + 3 * norms.std() / np.sqrt(len(norms)) < 1.0
-    est = lyapunov(spec, LyapunovMethod.CLOSED_FORM, samples=100_000, seed=15)
-    assert est.gamma < -3 * est.stderr
+    est = FirstColumnSample(spec, 100_000, seed=15).gamma()
+    assert est.mean < -3 * est.stderr
 
 
 def test_k_prime_zero_equals_gamma():
@@ -265,19 +282,19 @@ def test_dh_ds_matches_finite_difference():
 # --- curves ------------------------------------------------------------------
 
 def test_spectral_curve_closed_form_crn():
-    spec = rank1_gauss(d=2, b=8, eta=0.3)
-    curve = spectral_curve(spec, [0.0, 0.5, 1.0], 50_000, seed=20)
-    assert curve.values[0].mean == 1.0
-    assert curve.method is CurveMethod.CLOSED_FORM
-    assert np.isinf(curve.s0_hint)
+    rows = _kcurve_rows(["--model", "rank1gauss", "--d", 2, "--b", 8, "--eta", 0.3,
+                         "--s-grid", "0.0,0.5,1.0", "--samples", 50_000, "--seed", 20])
+    assert float(rows[0][1]) == 1.0
+    assert [r[3] for r in rows] == ["closed_form"] * 3
 
 
 def test_spectral_curve_caps_large_s():
-    spec = rank1_gauss(d=1, b=1, eta=0.5)
     with pytest.warns(RuntimeWarning, match="s_max"):
-        curve = spectral_curve(spec, [1.0, 31.0], 100, seed=21)
-    assert np.isfinite(curve.values[0].mean)
-    assert np.isnan(curve.values[1].mean)
+        rows = _kcurve_rows(["--model", "rank1gauss", "--d", 1, "--b", 1, "--eta", 0.5,
+                             "--s-grid", "1.0,31.0", "--samples", 100, "--seed", 21])
+    assert np.isfinite(float(rows[0][1]))
+    assert np.isnan(float(rows[1][1]))
+    assert rows[1][4] == "0"
 
 
 def test_exact_backend_for_finite_mixture():
@@ -312,13 +329,10 @@ def test_subadditive_stderr_scaling():
     # per-trajectory spread of (1/n) log||Pi_n|| shrinks like n^(-1/2), so
     # the standard error scales like n^(-1/2) * samples^(-1/2)
     spec = rank1_gauss(d=1, b=1, eta=0.2)
-    base = lyapunov(spec, LyapunovMethod.SUBADDITIVE_MC, n=50, samples=2000,
-                    seed=30)
-    finer_n = lyapunov(spec, LyapunovMethod.SUBADDITIVE_MC, n=200, samples=2000,
-                       seed=31)
+    base = ProductSample(spec, n=50, samples=2000, seed=30).gamma()
+    finer_n = ProductSample(spec, n=200, samples=2000, seed=31).gamma()
     assert finer_n.stderr == pytest.approx(base.stderr / 2, rel=0.25)
-    more_samples = lyapunov(spec, LyapunovMethod.SUBADDITIVE_MC, n=50,
-                            samples=8000, seed=32)
+    more_samples = ProductSample(spec, n=50, samples=8000, seed=32).gamma()
     assert more_samples.stderr == pytest.approx(base.stderr / 2, rel=0.25)
 
 

@@ -21,7 +21,7 @@ def mixture_spec(eta=1.0, b=1):
 
 def test_mixture_alpha_exact():
     # h(s) = (0.5^s + 1.5^s)/2 crosses 1 at s = 1 since 0.5 + 1.5 = 2
-    solve = solve_alpha(mixture_spec(), samples=100, seed=0)
+    solve = solve_alpha(FirstColumnSample(mixture_spec(), 100, seed=0))
     assert solve.status is SolveStatus.CONVERGED
     assert solve.alpha == pytest.approx(1.0, abs=1e-3)
     assert abs(solve.residual) <= 1e-3
@@ -31,14 +31,14 @@ def test_mixture_alpha_exact():
 def test_deterministic_contraction_has_no_root():
     # H = I, xi = 0.5: h(s) = 0.5^s < 1 for all s > 0
     spec = symm(d=1, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(1)))
-    solve = solve_alpha(spec, samples=100, seed=1)
+    solve = solve_alpha(FirstColumnSample(spec, 100, seed=1))
     assert solve.status is SolveStatus.NO_ROOT_BELOW_S_MAX
 
 
 def test_gamma_non_negative_status():
     # H = -I (expanding): gamma = log|1 + xi| > 0
     spec = symm(d=1, b=1, eta=0.5, h_law=DeterministicLaw(-np.eye(1)))
-    solve = solve_alpha(spec, samples=100, seed=2)
+    solve = solve_alpha(FirstColumnSample(spec, 100, seed=2))
     assert solve.status is SolveStatus.GAMMA_NON_NEGATIVE
     assert solve.gamma >= 0
 
@@ -49,7 +49,7 @@ def test_rank1gauss_alpha_against_quadrature_root():
     oracle_root = brentq(lambda s: quadrature_oracle_d1(2 / 3, "s", s) - 1.0,
                          1.0, 4.0, xtol=1e-10)
     assert oracle_root == pytest.approx(2.0, abs=1e-8)
-    solve = solve_alpha(rank1_gauss(1, 1, 2 / 3), samples=400_000, seed=3)
+    solve = solve_alpha(FirstColumnSample(rank1_gauss(1, 1, 2 / 3), 400_000, seed=3))
     assert solve.status is SolveStatus.CONVERGED
     assert solve.alpha == pytest.approx(2.0, abs=0.05)
 
@@ -58,26 +58,28 @@ def test_convexity_uniqueness_audit():
     # on the solving stream: h < 1 at alpha/2 and > 1 at 1.5*alpha
     spec = rank1_gauss(1, 1, 2 / 3)
     cols = FirstColumnSample(spec, 200_000, seed=4)
-    solve = solve_alpha(spec, samples=200_000, seed=4, cols=cols)
+    solve = solve_alpha(cols)
     assert cols.h(solve.alpha / 2).mean < 1.0
     assert cols.h(min(solve.alpha * 1.5, 30.0)).mean > 1.0
 
 
 def test_xi1_mixture_exact():
-    assert solve_xi1(mixture_spec(), samples=100, seed=5) == pytest.approx(1.0, abs=1e-3)
+    xi1 = solve_xi1(FirstColumnSample(mixture_spec(), 100, seed=5))
+    assert xi1 == pytest.approx(1.0, abs=1e-3)
 
 
 def test_xi1_deterministic_scalar():
     # H = c: h(xi, 1) = |1 - xi c|, so xi_1 = 2/c
     for c in (0.5, 2.0):
         spec = symm(d=1, b=1, eta=1.0, h_law=DeterministicLaw(c * np.eye(1)))
-        assert solve_xi1(spec, samples=10, seed=6) == pytest.approx(2 / c, abs=1e-3)
+        xi1 = solve_xi1(FirstColumnSample(spec, 10, seed=6))
+        assert xi1 == pytest.approx(2 / c, abs=1e-3)
 
 
 def test_xi1_requires_positive_mean_h11():
     spec = symm(d=1, b=1, eta=1.0, h_law=DeterministicLaw(-np.eye(1)))
     with pytest.raises(RangeError):
-        solve_xi1(spec, samples=10, seed=7)
+        solve_xi1(FirstColumnSample(spec, 10, seed=7))
 
 
 def test_alpha_curve_mixture_decreasing():
@@ -102,10 +104,10 @@ def test_alpha_curve_at_xi1_returns_one():
 def test_alpha_curve_records_a_failed_point_without_order(monkeypatch):
     real = tailsolver.solve_alpha
 
-    def flaky(spec, *args, xi=None, **kwargs):
+    def flaky(cols, *args, xi=None, **kwargs):
         if xi == 0.9:
             raise ValueError("injected")
-        return real(spec, *args, xi=xi, **kwargs)
+        return real(cols, *args, xi=xi, **kwargs)
 
     monkeypatch.setattr(tailsolver, "solve_alpha", flaky)
     with pytest.warns(RuntimeWarning, match="alpha solve failed at xi=0.9"):
@@ -144,12 +146,12 @@ def test_alpha_curve_shares_one_sample_outside_and_one_inside_window(monkeypatch
 
     cols = FirstColumnSample(spec, 20_000, seed=40)
     refined = FirstColumnSample(spec, 20_000 * XI1_REFINE_SAMPLES, seed=40)
-    assert curve.xi1 == solve_xi1(spec, cols=cols)
+    assert curve.xi1 == solve_xi1(cols)
     inside = [abs(xi - curve.xi1) <= XI1_REFINE_WINDOW * curve.xi1 for xi in grid]
     assert inside == [False, False, True, True, True, False]
     for xi, near, got in zip(grid, inside, curve.solves):
-        want = (solve_alpha(spec, tol_root=1e-3 * XI1_REFINE_TOL, cols=refined, xi=xi)
-                if near else solve_alpha(spec, cols=cols, xi=xi))
+        want = (solve_alpha(refined, tol_root=1e-3 * XI1_REFINE_TOL, xi=xi)
+                if near else solve_alpha(cols, xi=xi))
         assert got.status is SolveStatus.CONVERGED
         assert got == want
 
@@ -163,15 +165,14 @@ def test_alpha_curve_on_two_workers_equals_serial_solves():
     curve = alpha_curve(spec, grid, samples=20_000, seed=40, workers=2)
     cols = FirstColumnSample(spec, 20_000, seed=40, workers=2)
     refined = FirstColumnSample(spec, 20_000 * XI1_REFINE_SAMPLES, seed=40, workers=2)
-    xi1 = solve_xi1(spec, cols=cols)
+    xi1 = solve_xi1(cols)
     assert curve.xi1 == xi1
     want = []
     for xi in grid:
         if abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1:
-            want.append(solve_alpha(spec, tol_root=1e-3 * XI1_REFINE_TOL, cols=refined,
-                                    xi=xi))
+            want.append(solve_alpha(refined, tol_root=1e-3 * XI1_REFINE_TOL, xi=xi))
         else:
-            want.append(solve_alpha(spec, cols=cols, xi=xi))
+            want.append(solve_alpha(cols, xi=xi))
     assert [repr(s) for s in curve.solves] == [repr(s) for s in want]
     assert [s.status for s in curve.solves] == [
         SolveStatus.NO_ROOT_BELOW_S_MAX, SolveStatus.CONVERGED, SolveStatus.CONVERGED,
@@ -185,7 +186,7 @@ def test_alpha_below_one_past_xi1():
     cols = FirstColumnSample(spec, 100, seed=10)
     xi_past = 1.1
     assert cols.gamma(xi_past).mean < 0
-    solve = solve_alpha(spec, samples=100, seed=10, xi=xi_past)
+    solve = solve_alpha(cols, xi=xi_past)
     assert solve.status is SolveStatus.CONVERGED
     assert solve.alpha < 1.0
     # direct scan confirms the crossing is below 1
@@ -194,7 +195,7 @@ def test_alpha_below_one_past_xi1():
 
 def test_small_xi_exceeds_s_max():
     # xi -> 0+: the root runs off past s_max (alpha -> infinity)
-    solve = solve_alpha(mixture_spec(), samples=100, seed=11, xi=0.01)
+    solve = solve_alpha(FirstColumnSample(mixture_spec(), 100, seed=11), xi=0.01)
     assert solve.status is SolveStatus.NO_ROOT_BELOW_S_MAX
 
 
@@ -207,8 +208,8 @@ NOT_INVARIANT = symm(d=2, b=1, eta=0.5, h_law=MatrixMixtureLaw(
 
 
 def _solver_calls(spec):
-    return [lambda: solve_alpha(spec, samples=2000, seed=0),
-            lambda: solve_xi1(spec, samples=2000, seed=0),
+    return [lambda: solve_alpha(FirstColumnSample(spec, 2000, seed=0)),
+            lambda: solve_xi1(FirstColumnSample(spec, 2000, seed=0)),
             lambda: alpha_curve(spec, [spec.xi], samples=2000, seed=0),
             lambda: contour_grid(spec, "eta", [spec.eta], [1.0], samples=2000, seed=0)]
 
@@ -330,15 +331,15 @@ def test_marching_squares_skips_nan_cells():
 def test_alpha_monotone_in_eta_and_batch():
     # with alpha > 1, the tail index falls as the step grows and rises as
     # the batch grows (Gaussian rank-one model)
-    lo_eta = solve_alpha(rank1_gauss(2, 8, 1.0), samples=200_000, seed=15)
-    hi_eta = solve_alpha(rank1_gauss(2, 8, 1.5), samples=200_000, seed=16)
+    lo_eta = solve_alpha(FirstColumnSample(rank1_gauss(2, 8, 1.0), 200_000, seed=15))
+    hi_eta = solve_alpha(FirstColumnSample(rank1_gauss(2, 8, 1.5), 200_000, seed=16))
     assert lo_eta.status is SolveStatus.CONVERGED and lo_eta.alpha > 1
     assert hi_eta.status is SolveStatus.CONVERGED and hi_eta.alpha > 1
     unc = np.hypot(lo_eta.stderr_alpha, hi_eta.stderr_alpha)
     assert lo_eta.alpha - hi_eta.alpha > unc
 
-    small_b = solve_alpha(rank1_gauss(2, 4, 0.75), samples=200_000, seed=17)
-    large_b = solve_alpha(rank1_gauss(2, 8, 0.75), samples=200_000, seed=18)
+    small_b = solve_alpha(FirstColumnSample(rank1_gauss(2, 4, 0.75), 200_000, seed=17))
+    large_b = solve_alpha(FirstColumnSample(rank1_gauss(2, 8, 0.75), 200_000, seed=18))
     assert small_b.status is SolveStatus.CONVERGED and small_b.alpha > 1
     assert large_b.status is SolveStatus.CONVERGED and large_b.alpha > 1
     unc = np.hypot(small_b.stderr_alpha, large_b.stderr_alpha)
@@ -349,7 +350,7 @@ def test_small_root_bracketed_below_first_grid_step():
     # rare huge expansion atom pushes the root well below the coarse scan
     law = MatrixMixtureLaw((1.5 * np.eye(1), 1e8 * np.eye(1)), (0.995, 0.005))
     spec = symm(d=1, b=1, eta=1.0, h_law=law)
-    solve = solve_alpha(spec, samples=10, seed=20)
+    solve = solve_alpha(FirstColumnSample(spec, 10, seed=20))
     assert solve.status is SolveStatus.CONVERGED
     assert 0 < solve.alpha < 0.25
     h = lambda s: 0.995 * 0.5 ** s + 0.005 * (1e8 - 1) ** s

@@ -44,6 +44,33 @@ def test_tracer_binds_and_counts_product_layers(tmp_path, monkeypatch):
     assert metrics["models.sample_h_columns.draws"] > 0
     assert metrics["models.iter_h_blocks.draws"] > 0
     assert metrics["linalg.batch_operator_norms.matrices"] > 0
+    # alpha builds its sample before the solve, outside the solver span
+    assert metrics["spectral.FirstColumnSample.draws"] > 0
+    assert metrics["tailsolver.solve_alpha.calls"] == 1
+
+
+def test_tracer_counts_curves_and_exponents_on_frozen_samples(tmp_path, monkeypatch):
+    # kcurve and lyapunov build a FirstColumnSample or a ProductSample and
+    # read it directly; the layers below must still be counted
+    tracing = _load_tracing(monkeypatch)
+    model = ["--model", "rank1gauss", "--d", "2", "--b", "2", "--eta", "0.5",
+             "--samples", "20", "--seed", "1"]
+    jobs = [
+        ["kcurve", *model, "--method", "closed", "--s-grid", "0,1,2",
+         "--out", tmp_path / "k.csv"],
+        ["lyapunov", *model, "--out", tmp_path / "g.csv"],
+        ["lyapunov", *model, "--method", "subadditive", "--n", "5",
+         "--out", tmp_path / "g2.csv"],
+    ]
+    with tracing.installed(tracing.Tracer()) as tracer:
+        for argv in jobs:
+            assert main([str(a) for a in argv]) == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["spectral.FirstColumnSample.draws"] == 2 * 20
+    assert metrics["spectral.h.calls"] == 3
+    assert metrics["spectral.gamma.calls"] == 1
+    assert metrics["spectral.product_log_norms.calls"] > 0
+    assert metrics["cli.csv_rows"] == 3 + 1 + 1
 
 
 def test_tracer_sees_solves_and_columns_on_pool_threads(tmp_path, monkeypatch):
@@ -63,5 +90,6 @@ def test_tracer_sees_solves_and_columns_on_pool_threads(tmp_path, monkeypatch):
             assert main([str(a) for a in argv] + ["--seed", "3", "--workers", "2"]) == 0
     metrics = tracing.layer_metrics(tracer)
     assert metrics["tailsolver.solve_alpha.calls"] == len(xi_grid)
+    assert metrics["tailsolver.solve_xi1.h_evals"] > 0
     assert metrics["mc.parallel_tasks.calls"] >= 2
     assert metrics["spectral.h.calls"] > 0
