@@ -16,10 +16,9 @@ from .tailsolver import (AlphaCurve, AlphaSolve, ContourGrid, RangeError,
 from .transferop import (DiscretizedOperator, OperatorSpectrum,
                          PowerIterationError, build_operator,
                          eigenfunction_representation_check, power_iterate)
-from .empirics import (AngularTestReport, DegeneracyReport, EstimationError,
-                       IntegrabilityReport, IntegrabilityTarget, TailFit,
-                       angular_exceedance_test, chi2_diagonal_check,
-                       fixed_point_degeneracy_check, hill_estimate,
-                       hill_stability_scan, integrability_probe, stam_p2_check)
+from .empirics import (AngularTestReport, EstimationError, IntegrabilityReport,
+                       IntegrabilityTarget, TailFit, angular_exceedance_test,
+                       chi2_diagonal_check, hill_estimate, hill_stability_scan,
+                       integrability_probe, stam_p2_check)
 
 __version__ = "0.1.0"

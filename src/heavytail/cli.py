@@ -46,17 +46,20 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """'start:step:stop' (inclusive stop) or a comma list of values."""
+    """'start:step:stop' (inclusive stop) or a comma list of finite values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigurationError(f"grid {text!r} is not start:step:stop")
         start, step, stop = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not 0 < step < math.inf or not 0 <= (stop - start) / step < math.inf:
             raise ConfigurationError(f"bad grid bounds in {text!r}")
         count = int(round((stop - start) / step))
         return [start + k * step for k in range(count + 1)]
-    return [float(p) for p in text.replace(",", " ").split()]
+    values = [float(p) for p in text.replace(",", " ").split()]
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError(f"grid {text!r} has a non-finite value")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -172,14 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="tail index: root of h(xi, s) = 1 in s")
     _add_model_args(p)
     _add_common(p, samples_default=200_000)
-    p.add_argument("--tol-root", type=_positive_float, default=1e-3)
     p.add_argument("--s-max", type=_positive_float, default=spectral.S_MAX_DEFAULT)
 
     p = sub.add_parser("alphacurve", help="alpha(xi) over a xi-grid, with xi_1")
     _add_model_args(p)
     _add_common(p, samples_default=200_000)
     p.add_argument("--xi-grid", required=False)
-    p.add_argument("--tol-root", type=_positive_float, default=1e-3)
 
     p = sub.add_parser("contour", help="h over a (param, s) grid + h=1 isoline")
     _add_model_args(p)
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=["b", "eta"], required=False, default="b")
     p.add_argument("--param-grid", required=False)
     p.add_argument("--s-grid", default="0.25:0.25:10")
-    p.add_argument("--clip", type=float, default=2.0)
+    p.add_argument("--clip", type=_positive_float, default=2.0)
     p.add_argument("--svg", help="also write the heat-grid + isoline as SVG")
 
     p = sub.add_parser("operator", help="discretized transfer operator (d=2)")
@@ -367,7 +368,7 @@ def _cmd_lyapunov(args) -> int:
 def _cmd_alpha(args) -> int:
     spec = _build_spec(args)
     cols = spectral.FirstColumnSample(spec, args.samples, args.seed, args.workers)
-    solve = tailsolver.solve_alpha(cols, tol_root=args.tol_root, s_max=args.s_max)
+    solve = tailsolver.solve_alpha(cols, s_max=args.s_max)
     print(f"alpha = {solve.alpha:.6g} +- {solve.stderr_alpha:.2g} "
           f"(xi = {solve.xi:.6g}, status = {solve.status.value})")
     _write_csv(args.out,
@@ -385,9 +386,8 @@ def _cmd_alphacurve(args) -> int:
         raise ConfigurationError("--xi-grid is required")
     xi_grid = _parse_grid(args.xi_grid)
     try:
-        curve = tailsolver.alpha_curve(spec, xi_grid, tol_root=args.tol_root,
-                                       samples=args.samples, seed=args.seed,
-                                       workers=args.workers)
+        curve = tailsolver.alpha_curve(spec, xi_grid, samples=args.samples,
+                                       seed=args.seed, workers=args.workers)
     except tailsolver.RangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special, stats
 
 from . import mc
-from .models import ModelSpec, Variant, iter_h_blocks, pair_a, sample_pairs
+from .models import ModelSpec, Variant, iter_h_blocks, pair_a
 
 DEFAULT_TEST_LEVEL = 0.01
 
@@ -344,53 +344,3 @@ def stam_p2_check(b: int, samples: int, seed: mc.Seed = 0, n_bins: int = 50,
                                    n_bins=len(observed), mean=float(u.mean()),
                                    variance=float(u.var(ddof=1)),
                                    expected_variance=1.0 / b, samples=len(u))
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point degeneracy
-
-
-@dataclass(frozen=True)
-class DegeneracyReport:
-    max_shared_fraction: float
-    flagged: bool                # near-1 fraction: the recursion is degenerate
-    singular_skipped: int
-    samples: int
-    tol: float
-
-
-def fixed_point_degeneracy_check(spec: ModelSpec, samples: int, seed: int = 0,
-                                 tol: float = 1e-8, flag_fraction: float = 0.999,
-                                 workers: int | None = None) -> DegeneracyReport:
-    """Fraction of draws sharing one solution x of A x + B = x.
-
-    Computes (I - A)^{-1} B per draw and reports the largest fraction of
-    draws agreeing on a common solution within ``tol``; a fraction near 1
-    means the recursion sticks to a deterministic fixed point (no heavy
-    tail). Singular I - A draws are skipped with a count.
-    """
-
-    def task(rng, m):
-        h, bvec = sample_pairs(spec, m, rng)
-        a = pair_a(spec, h)
-        lhs = np.broadcast_to(np.eye(spec.d), a.shape) - a   # = xi*H
-        out = np.full((m, spec.d), np.nan)
-        dets = np.linalg.det(lhs)
-        ok = np.abs(dets) > 1e-300
-        if ok.any():
-            out[ok] = np.linalg.solve(lhs[ok], bvec[ok][..., None])[..., 0]
-        return out
-
-    x = mc.parallel_map(task, samples, seed, workers)
-    finite = np.isfinite(x).all(axis=1)
-    skipped = int((~finite).sum())
-    pts = x[finite]
-    if len(pts) == 0:
-        return DegeneracyReport(0.0, False, skipped, samples, tol)
-    # cluster by rounding to the tol grid; the maximal cluster is what matters
-    keys = np.round(pts / tol).astype(np.int64)
-    _, counts = np.unique(keys, axis=0, return_counts=True)
-    frac = float(counts.max() / len(pts))
-    return DegeneracyReport(max_shared_fraction=frac,
-                            flagged=bool(frac >= flag_fraction),
-                            singular_skipped=skipped, samples=samples, tol=tol)

@@ -3,14 +3,18 @@
 The root in s of h(xi, .) - 1 is the tail index alpha(xi); the root in xi of
 h(., 1) - 1 is the critical step ratio xi_1 beyond which the stationary law
 loses its mean. Both solves run on a common-random-numbers frozen draw of H
-(exact enumeration for finite-support laws), so the function being bisected
-is deterministic and strictly convex up to float rounding; bisection is
-followed by a Newton polish using the s-derivative. The solvers take that
-draw, a ``FirstColumnSample``, and nothing else; ``alpha_curve`` and
-``contour_grid`` decide which samples to draw.
+(exact enumeration for finite-support laws), so the function solved is
+deterministic. The solvers take that draw, a ``FirstColumnSample``, and
+nothing else; ``alpha_curve`` and ``contour_grid`` decide which samples to
+draw.
 
-Uniqueness of the s-root on (0, s_max] follows from strict convexity of
-s -> h(xi, s) together with h(xi, 0) = 1.
+On the frozen draw, h(xi, s) = sum_i w_i v_i^s is a positive combination of
+exponentials in s, hence convex in s, with h(xi, 0) = 1; and each
+v_i = |(I - xi*H_i) u| is the norm of an affine function of xi, so h(., 1)
+is convex in xi with h(0, 1) = 1. The set where h < 1 is therefore an
+interval starting at 0, and the signs of h - 1 at the two ends of the search
+interval decide whether a root exists on it, and that it is unique. When
+they differ, ``scipy.optimize.brentq`` finds it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import mc
 from .models import ModelSpec
@@ -27,7 +32,6 @@ from .spectral import S_MAX_DEFAULT, FirstColumnSample
 
 XI1_REFINE_WINDOW = 0.05   # within 5% of xi_1 the root is shallow; refine
 XI1_REFINE_SAMPLES = 4     # sample multiplier inside the window
-XI1_REFINE_TOL = 0.2       # tolerance multiplier inside the window
 
 
 class SolveStatus(str, Enum):
@@ -38,7 +42,7 @@ class SolveStatus(str, Enum):
 
 
 class RangeError(RuntimeError):
-    """Root scan found no sign change, or its precondition failed."""
+    """No sign change on the search interval, or its precondition failed."""
 
 
 @dataclass(frozen=True)
@@ -65,91 +69,55 @@ class AlphaCurve:
     # (xi_left, xi_right, decreasing-beyond-combined-uncertainty) per adjacent pair
 
 
-def _bisect_on(fn, lo: float, hi: float, f_lo: float, f_hi: float,
-               tol_resid: float, max_iter: int = 200):
-    """Bisect a deterministic scalar function until |f| <= tol_resid.
-
-    Returns (root, f(root), lo, hi, f(lo), f(hi)) with the narrowed bracket.
-    """
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if abs(f_mid) <= tol_resid or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
-            return mid, f_mid, lo, hi, f_lo, f_hi
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return mid, f_mid, lo, hi, f_lo, f_hi
-
-
-def solve_alpha(cols: FirstColumnSample, tol_root: float = 1e-3,
-                s_max: float = S_MAX_DEFAULT, xi: float | None = None) -> AlphaSolve:
+def solve_alpha(cols: FirstColumnSample, s_max: float = S_MAX_DEFAULT,
+                xi: float | None = None) -> AlphaSolve:
     """Root of s -> h(xi, s) - 1 on (0, s_max], frozen-draw deterministic.
 
-    xi defaults to that of the sample's law. tol_root is in h-units. Status
-    is gamma_non_negative when the Lyapunov estimate at xi is nonnegative
-    beyond noise (no positive root exists, by convexity), and
-    no_root_below_s_max when h stays below 1 on the scan. stderr_alpha
-    propagates the Monte-Carlo uncertainty of h through the local slope:
-    stderr(h at root) / |dh/ds at root|.
+    xi defaults to that of the sample's law. Status is gamma_non_negative
+    when the Lyapunov estimate at xi is nonnegative beyond noise (no positive
+    root exists, by convexity). Otherwise, if h is below 1 at
+    s_lo = min(1e-4, s_max / 2) and at least 1 at s_max, brentq solves on
+    [s_lo, s_max] and ``bracket`` is that interval; if not, the status is
+    no_root_below_s_max. A term |(I - xi*H) u|^s that overflows counts as
+    +inf. stderr_alpha propagates the Monte-Carlo uncertainty of h through
+    the local slope: stderr(h at root) / |dh/ds at root|.
     """
     xi = cols.spec.xi if xi is None else xi
     gam = cols.gamma(xi)
-    if gam.mean >= 3.0 * gam.stderr:
+
+    def no_root(status: SolveStatus) -> AlphaSolve:
         return AlphaSolve(xi=xi, alpha=np.nan, residual=np.nan,
                           bracket=(np.nan, np.nan), stderr_alpha=np.nan,
-                          status=SolveStatus.GAMMA_NON_NEGATIVE,
-                          gamma=gam.mean, gamma_stderr=gam.stderr)
+                          status=status, gamma=gam.mean, gamma_stderr=gam.stderr)
+
+    if gam.mean >= 3.0 * gam.stderr:
+        return no_root(SolveStatus.GAMMA_NON_NEGATIVE)
 
     def f(s: float) -> float:
-        return cols.h(s, xi).mean - 1.0
+        with np.errstate(over="ignore"):
+            return cols.h_row(xi, (s,))[0] - 1.0
 
-    # scan upward for the sign change; h dips below 1 near 0 (gamma < 0)
-    # and crosses back once, by strict convexity. The leading point sits
-    # just above 0 so roots below the first regular grid step are bracketed.
-    grid = np.concatenate(([min(1e-4, s_max / 2)], np.linspace(0.0, s_max, 121)[1:]))
-    f_prev, s_prev = None, 0.0
-    bracket = None
-    for s in grid:
-        val = f(s)
-        if f_prev is not None and f_prev < 0 <= val:
-            bracket = (s_prev, s, f_prev, val)
-            break
-        f_prev, s_prev = val, s
-    if bracket is None:
-        return AlphaSolve(xi=xi, alpha=np.nan, residual=np.nan,
-                          bracket=(np.nan, np.nan), stderr_alpha=np.nan,
-                          status=SolveStatus.NO_ROOT_BELOW_S_MAX,
-                          gamma=gam.mean, gamma_stderr=gam.stderr)
-    lo, hi, f_lo, f_hi = bracket
-    root, resid, lo, hi, f_lo, f_hi = _bisect_on(f, lo, hi, f_lo, f_hi, tol_root)
-    for _ in range(4):
-        slope = cols.dh_ds(root, xi).mean
-        if not np.isfinite(slope) or slope <= 0:
-            break
-        cand = min(max(root - resid / slope, lo), hi)
-        if cand == root:
-            break
-        root = cand
-        resid = f(root)
-        if abs(resid) <= tol_root * 1e-6:
-            break
+    lo, hi = min(1e-4, s_max / 2), float(s_max)
+    if not f(lo) < 0 <= f(hi):
+        return no_root(SolveStatus.NO_ROOT_BELOW_S_MAX)
+    root = brentq(f, lo, hi)
     h_at = cols.h(root, xi)
     slope = cols.dh_ds(root, xi).mean
     stderr_alpha = h_at.stderr / abs(slope) if slope else np.inf
     return AlphaSolve(xi=xi, alpha=float(root), residual=float(h_at.mean - 1.0),
-                      bracket=(float(lo), float(hi)), stderr_alpha=float(stderr_alpha),
+                      bracket=(lo, hi), stderr_alpha=float(stderr_alpha),
                       status=SolveStatus.CONVERGED, gamma=gam.mean,
                       gamma_stderr=gam.stderr, h_stderr=h_at.stderr)
 
 
-def solve_xi1(cols: FirstColumnSample, tol_root: float = 1e-3) -> float:
-    """Unique xi_1 > 0 with h(xi_1, 1) = 1, by bracketed bisection in xi.
+def solve_xi1(cols: FirstColumnSample) -> float:
+    """Unique xi_1 > 0 with h(xi_1, 1) = 1, by brentq in xi.
 
     Precondition E<H e_1, e_1> > 0 is estimated on the frozen draw and must
     hold beyond 3 standard errors. The same frozen columns evaluate h(xi, 1)
-    for every xi (the columns do not depend on xi), so the scan is smooth.
+    for every xi (the columns do not depend on xi), so g(xi) = h(xi, 1) - 1
+    is convex with g(0) = 0, and g(hi/1024) < 0 <= g(hi) with
+    hi = 16 / E<H e_1, e_1> decides whether the root is on that interval.
     """
     h11 = cols.mean_h11()
     if not (h11.mean > 3.0 * h11.stderr):
@@ -160,73 +128,38 @@ def solve_xi1(cols: FirstColumnSample, tol_root: float = 1e-3) -> float:
     def g(xi: float) -> float:
         return cols.h(1.0, xi).mean - 1.0
 
-    # h(., 1) is strictly convex with g(0) = 0 and negative slope at 0;
-    # scan geometrically for the sign change back to positive
-    hi_limit = 16.0 / max(h11.mean, 1e-12)
-    xi_lo, g_lo = None, None
-    xi = hi_limit / 1024.0
-    found = None
-    while xi <= hi_limit * (1 + 1e-12):
-        val = g(xi)
-        if val < 0:
-            xi_lo, g_lo = xi, val
-        elif xi_lo is not None and val >= 0:
-            found = (xi_lo, xi, g_lo, val)
-            break
-        xi *= 1.5
-    if found is None:
-        raise RangeError("no sign change of h(., 1) - 1 on the scanned xi range")
-    lo, hi, f_lo, f_hi = found
-    root, resid, lo, hi, f_lo, f_hi = _bisect_on(g, lo, hi, f_lo, f_hi, tol_root)
-    # secant polish inside the bracket (the bisection tolerance is in h-units;
-    # the root itself should be located to the slope-adjusted accuracy)
-    for _ in range(12):
-        denom = f_hi - f_lo
-        if denom == 0:
-            break
-        cand = min(max(hi - f_hi * (hi - lo) / denom, lo), hi)
-        f_cand = g(cand)
-        if abs(f_cand) < abs(resid):
-            root, resid = cand, f_cand
-        if (f_cand < 0) == (f_lo < 0):
-            lo, f_lo = cand, f_cand
-        else:
-            hi, f_hi = cand, f_cand
-        if abs(resid) <= tol_root * 1e-6:
-            break
-    return float(root)
+    hi = 16.0 / max(h11.mean, 1e-12)
+    lo = hi / 1024.0
+    if not g(lo) < 0 <= g(hi):
+        raise RangeError(f"no sign change of h(., 1) - 1 on [{lo:.4g}, {hi:.4g}]")
+    return float(brentq(g, lo, hi))
 
 
-def alpha_curve(spec: ModelSpec, xi_grid, tol_root: float = 1e-3,
-                samples: int = 200_000, seed: int = 0,
+def alpha_curve(spec: ModelSpec, xi_grid, samples: int = 200_000, seed: int = 0,
                 workers: int | None = None) -> AlphaCurve:
     """alpha(xi) over a xi-grid, with xi_1 and a strict-decrease report.
 
     Every solve shares one frozen draw (common random numbers across xi):
     xi_1 and the points outside the refine window use ``samples`` columns
     from ``seed``. Within 5% of xi_1 the implicit function is badly
-    conditioned (the slope of h at s=1 vanishes), so the tolerance is
-    tightened and those points share one sample four times as large, drawn
-    from the same seed, and only if some point lies in the window.
+    conditioned (the slope of h at s=1 vanishes), so those points share one
+    sample four times as large, drawn from the same seed, and only if some
+    point lies in the window.
 
     The points are solved on ``workers`` threads. Each depends only on the
     frozen samples and xi_1, so the curve does not depend on scheduling.
     """
     xi_grid = tuple(float(x) for x in xi_grid)
     cols = FirstColumnSample(spec, samples, seed, workers)
-    xi1 = solve_xi1(cols, tol_root=tol_root)
+    xi1 = solve_xi1(cols)
     near = [abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1 for xi in xi_grid]
     refined = (FirstColumnSample(spec, samples * XI1_REFINE_SAMPLES, seed, workers)
                if any(near) else None)
 
     def point(i: int) -> AlphaSolve:
         xi = xi_grid[i]
-        if near[i]:
-            tol, point_cols = tol_root * XI1_REFINE_TOL, refined
-        else:
-            tol, point_cols = tol_root, cols
         try:
-            return solve_alpha(point_cols, tol_root=tol, xi=xi)
+            return solve_alpha(refined if near[i] else cols, xi=xi)
         except (RangeError, ValueError, ArithmeticError) as exc:
             # a numerical failure is recorded and the curve continues; any
             # other exception is a bug and propagates

@@ -154,21 +154,19 @@ def power_iterate(op: DiscretizedOperator, tol: float = 1e-12,
 
 
 def eigenfunction_representation_check(spectrum: OperatorSpectrum,
-                                       spectrum_adjoint: OperatorSpectrum,
                                        s: float) -> tuple[float, float]:
-    """Max relative deviation of e(x) from c * sum_y |<x, y>|^s d(adjoint measure).
+    """Max relative deviation of e(x) from c * sum_y |<x, y>|^s d(measure).
 
-    The proportionality constant c is fitted by least squares; returns
-    (max relative deviation, fitted c).
+    The adjoint is the same build, so one spectrum supplies both e and the
+    measure. The proportionality constant c is fitted by least squares;
+    returns (max relative deviation, fitted c).
     """
     n = len(spectrum.eigenfunction)
-    if len(spectrum_adjoint.eigenmeasure) != n:
-        raise ValueError("spectra were built at different resolutions")
     delta = 2 * np.pi / n
     centers = (np.arange(n) + 0.5) * delta
     x = np.stack([np.cos(centers), np.sin(centers)], axis=1)
     inner = np.abs(x @ x.T) ** s
-    g = inner @ spectrum_adjoint.eigenmeasure
+    g = inner @ spectrum.eigenmeasure
     e = spectrum.eigenfunction
     c = float((e @ g) / (g @ g))
     deviation = np.abs(c * g - e) / np.abs(e)

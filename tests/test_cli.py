@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import hashlib
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -40,8 +42,9 @@ def test_grid_parsing():
     assert _parse_grid("0:1:4") == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert _parse_grid("0:0.25:0.5") == [0.0, 0.25, 0.5]
     assert _parse_grid("1,2,5") == [1.0, 2.0, 5.0]
-    with pytest.raises(ConfigurationError):
-        _parse_grid("1:2:3:4")
+    for bad in ("1:2:3:4", "0:inf:0", "0:1:inf", "nan:1:2", "nan,1", "1,-inf"):
+        with pytest.raises(ConfigurationError):
+            _parse_grid(bad)
 
 
 def test_kcurve_deterministic_identity(tmp_path, capsys):
@@ -148,10 +151,12 @@ def test_unknown_subcommand_exits_2():
     ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--s-max", "nan"],
     ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--s-max", "inf"],
     ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--s-max", "0"],
-    ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--tol-root", "-1"],
-    ["alpha", "--model", "rank1gauss", "--eta", "0.5", "--tol-root", "nan"],
-    ["alphacurve", "--model", "rank1gauss", "--eta", "0.5", "--xi-grid", "0.1",
-     "--tol-root", "0"],
+    ["contour", "--model", "rank1gauss", "--eta", "0.5", "--param-grid", "1",
+     "--clip", "nan"],
+    ["contour", "--model", "rank1gauss", "--eta", "0.5", "--param-grid", "1",
+     "--clip", "0"],
+    ["contour", "--model", "rank1gauss", "--eta", "0.5", "--param-grid", "1",
+     "--clip", "-1"],
 ])
 def test_non_positive_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -159,6 +164,16 @@ def test_non_positive_counts_exit_2(argv, capsys):
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "error: argument --" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kcurve", "--model", "rank1gauss", "--eta", "0.5", "--s-grid", "nan,1"],
+    ["alphacurve", "--model", "rank1gauss", "--eta", "0.5", "--xi-grid", "0.1,inf"],
+])
+def test_non_finite_grid_value_exits_2(argv, capsys):
+    assert run_cli(argv + ["--samples", "10"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "grid" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -204,6 +219,11 @@ def fuzz_models(tmp_path_factory):
     law.write_text(MIX_LAW)
     return [["--law-file", str(law)],
             ["--model", "symm-det-identity", "--d", "2", "--eta", "0.5"]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-out") / "out.csv"
 
 
 def _exit_code(argv):
@@ -254,12 +274,61 @@ def _model_flags(fuzz_models):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), tol_root=_REAL, samples=_COUNT,
+@given(data=st.data(), samples=_COUNT,
        s_max=_mostly(st.floats(0.01, 40).map(repr), st.one_of(st.floats().map(repr), _JUNK)))
-def test_fuzzed_alpha_flags_exit_cleanly(fuzz_models, data, tol_root, s_max, samples):
+def test_fuzzed_alpha_flags_exit_cleanly(fuzz_models, data, s_max, samples):
     _fuzz_exits_cleanly(["alpha", *data.draw(_model_flags(fuzz_models)),
-                         f"--tol-root={tol_root}", f"--s-max={s_max}",
-                         f"--samples={samples}"])
+                         f"--s-max={s_max}", f"--samples={samples}"])
+
+
+# A grid is a comma list of at most 6 values, or start:step:stop with
+# bounds in -1..3 and a step of at least 0.1 (or an invalid one), so no run
+# asks for more than 41 points. Values are small, so a b-grid never asks
+# for a large batch.
+_GRID_VALUE = _mostly(st.floats(-1, 3).map(repr),
+                      st.sampled_from(["nan", "inf", "-inf", "1e400", "x"]))
+_GRID = st.one_of(
+    st.lists(_GRID_VALUE, max_size=6).map(",".join),
+    st.tuples(_GRID_VALUE, _mostly(st.floats(0.1, 2).map(repr),
+                                   st.sampled_from(["0", "-0.1", "nan", "inf"])),
+              _GRID_VALUE).map(":".join),
+    _JUNK)
+
+
+def _fuzz_writes_finite_grids(argv, out, grid_columns):
+    """_fuzz_exits_cleanly, and a run that exits 0 wrote finite grid values;
+    returns the CSV rows (none unless it exited 0)."""
+    out.unlink(missing_ok=True)
+    _fuzz_exits_cleanly(argv + [f"--out={out}"])
+    if not out.exists():
+        return []
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(math.isfinite(float(row[c])) for row in rows for c in grid_columns)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.integers(0, 1), xi_grid=_GRID, samples=_COUNT)
+def test_fuzzed_alphacurve_flags_exit_cleanly(fuzz_models, fuzz_out, model, xi_grid,
+                                              samples):
+    _fuzz_writes_finite_grids(["alphacurve", *fuzz_models[model], f"--xi-grid={xi_grid}",
+                               f"--samples={samples}"], fuzz_out, ["xi"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.integers(0, 1), param=st.sampled_from(["b", "eta"]), param_grid=_GRID,
+       s_grid=_GRID, clip=_REAL, samples=_COUNT)
+def test_fuzzed_contour_flags_exit_cleanly(fuzz_models, fuzz_out, model, param,
+                                           param_grid, s_grid, clip, samples):
+    rows = _fuzz_writes_finite_grids(
+        ["contour", *fuzz_models[model], f"--param={param}",
+         f"--param-grid={param_grid}", f"--s-grid={s_grid}", f"--clip={clip}",
+         f"--samples={samples}"], fuzz_out, [param, "s"])
+    # h >= 0, so a clipped value is NaN only where h is, and never negative
+    for row in rows:
+        h, clipped = float(row["h"]), float(row["h_clipped"])
+        assert math.isnan(clipped) == math.isnan(h) and not clipped < 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,9 +480,12 @@ FROZEN_SAMPLE_COMMANDS = {
 
 # sha256 of the CSV, then the SVG (contour only), then standard output, as
 # written when each solver drew its own sample from (spec, samples, seed).
+# alpha and alphacurve are pinned as brentq writes them: alpha, stderr_alpha
+# and residual differ from the earlier scan-and-polish solver by < 3e-13, and
+# the alpha bracket is the checked interval [1e-4, 30].
 FROZEN_SAMPLE_SHA256 = {
-    "alpha": "438a234a9d8aac121e4592aff118c72fea8403c6d33935dd10b886ac7660f0f7",
-    "alphacurve": "50ff390e19520e4b7dc6c4986b37bb75c820ed812d60183df5361249ef42e9a1",
+    "alpha": "809c630533b1bc792ea53668d10db5d9d56803ec5d63e253f7691441db8f6f08",
+    "alphacurve": "9cd1d0764d88570270e709d335701e2014d136708dd363f46c52904065ab2646",
     "contour-b": "cc6fa1a914755f9286f8248ac25207e80d07b2ab4aef4efd04a266b309b9c86f",
     "kcurve-closed": "c7b3c8a179605a17bfe6fdaa50c8bbd838d7b1f18def39494dd7e237228612d6",
     "kcurve-product": "5207f0a8b50b50219a51ca326ab06969da1b20093cf14e0ed4c333006cadc088",

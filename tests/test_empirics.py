@@ -5,11 +5,10 @@ from scipy.integrate import quad
 from heavytail import mc
 from heavytail.empirics import (EstimationError, IntegrabilityTarget,
                                 angular_exceedance_test, chi2_diagonal_check,
-                                fixed_point_degeneracy_check, hill_estimate,
-                                hill_stability_scan, integrability_probe,
-                                stam_p2_check, unit_inner_product_density)
-from heavytail.models import (DeterministicLaw, VectorMixtureLaw, rank1_gauss,
-                              symm)
+                                hill_estimate, hill_stability_scan,
+                                integrability_probe, stam_p2_check,
+                                unit_inner_product_density)
+from heavytail.models import DeterministicLaw, rank1_gauss, symm
 
 
 def pareto_sample(alpha, n, seed):
@@ -171,31 +170,6 @@ def test_stam_variance_identity():
 def test_stam_requires_b_above_3():
     with pytest.raises(ValueError):
         stam_p2_check(3, samples=100, seed=16)
-
-
-# --- fixed-point degeneracy --------------------------------------------------
-
-def test_degenerate_deterministic_model_flagged():
-    # A = 0.5, B = 1: every draw solves x = 2
-    spec = symm(d=1, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(1)),
-                b_law=VectorMixtureLaw((np.ones(1),), (1.0,)))
-    rep = fixed_point_degeneracy_check(spec, samples=500, seed=17)
-    assert rep.flagged
-    assert rep.max_shared_fraction == 1.0
-
-
-def test_zero_forcing_flagged():
-    spec = symm(d=1, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(1)),
-                b_law=VectorMixtureLaw((np.zeros(1),), (1.0,)))
-    rep = fixed_point_degeneracy_check(spec, samples=500, seed=18)
-    assert rep.flagged
-
-
-def test_rank1gauss_not_degenerate():
-    rep = fixed_point_degeneracy_check(rank1_gauss(2, 8, 0.3), samples=20_000,
-                                       seed=19)
-    assert not rep.flagged
-    assert rep.max_shared_fraction < 0.01
 
 
 def test_stam_merged_bins_conserve_mass():

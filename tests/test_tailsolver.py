@@ -8,10 +8,10 @@ from heavytail.models import (DeterministicLaw, MatrixMixtureLaw, ModelSpec,
                               Variant, VectorMixtureLaw, rank1_gauss, symm)
 from heavytail import tailsolver
 from heavytail.spectral import FirstColumnSample, quadrature_oracle_d1
-from heavytail.tailsolver import (XI1_REFINE_SAMPLES, XI1_REFINE_TOL,
-                                  XI1_REFINE_WINDOW, RangeError, SolveStatus,
-                                  alpha_curve, contour_grid, marching_squares,
-                                  solve_alpha, solve_xi1)
+from heavytail.tailsolver import (XI1_REFINE_SAMPLES, XI1_REFINE_WINDOW,
+                                  RangeError, SolveStatus, alpha_curve,
+                                  contour_grid, marching_squares, solve_alpha,
+                                  solve_xi1)
 
 
 def mixture_spec(eta=1.0, b=1):
@@ -150,8 +150,7 @@ def test_alpha_curve_shares_one_sample_outside_and_one_inside_window(monkeypatch
     inside = [abs(xi - curve.xi1) <= XI1_REFINE_WINDOW * curve.xi1 for xi in grid]
     assert inside == [False, False, True, True, True, False]
     for xi, near, got in zip(grid, inside, curve.solves):
-        want = (solve_alpha(refined, tol_root=1e-3 * XI1_REFINE_TOL, xi=xi)
-                if near else solve_alpha(cols, xi=xi))
+        want = solve_alpha(refined if near else cols, xi=xi)
         assert got.status is SolveStatus.CONVERGED
         assert got == want
 
@@ -170,7 +169,7 @@ def test_alpha_curve_on_two_workers_equals_serial_solves():
     want = []
     for xi in grid:
         if abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1:
-            want.append(solve_alpha(refined, tol_root=1e-3 * XI1_REFINE_TOL, xi=xi))
+            want.append(solve_alpha(refined, xi=xi))
         else:
             want.append(solve_alpha(cols, xi=xi))
     assert [repr(s) for s in curve.solves] == [repr(s) for s in want]
@@ -191,6 +190,37 @@ def test_alpha_below_one_past_xi1():
     assert solve.alpha < 1.0
     # direct scan confirms the crossing is below 1
     assert cols.h(0.99, xi_past).mean > 1.0
+
+
+def test_root_found_when_a_term_overflows_at_s_max():
+    # (1e11 + 1)^30 overflows: the term counts as +inf at s_max, so the end
+    # signs differ and the root of p (1e11 + 1)^s + (1 - p) 0.5^s = 1 is found
+    from scipy.optimize import brentq
+    p = 1e-6
+    law = MatrixMixtureLaw(([[-1e11]], [[0.5]]), (p, 1 - p))
+    exact = brentq(lambda s: p * (1e11 + 1) ** s + (1 - p) * 0.5 ** s - 1.0,
+                   0.1, 1.0, xtol=1e-15)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve = solve_alpha(FirstColumnSample(symm(1, 1, 1.0, law), 10, seed=0))
+    assert solve.status is SolveStatus.CONVERGED
+    assert abs(solve.alpha - exact) <= 1e-9
+    assert caught == []
+
+
+def test_alpha_curve_keeps_the_values_of_the_scan_and_polish_solver():
+    # statuses, alphas and xi_1 as the earlier scan, bisection and Newton /
+    # secant polish solver gave them on this sample; the grid covers every
+    # status and the refine window (0.205 and 0.21)
+    curve = alpha_curve(rank1_gauss(d=2, b=8, eta=1.5), [0.02, 0.12, 0.205, 0.21, 0.3],
+                        samples=20_000, seed=40, workers=1)
+    assert abs(curve.xi1 - 0.210454023237162) <= 1e-8
+    assert [s.status for s in curve.solves] == [
+        SolveStatus.NO_ROOT_BELOW_S_MAX, SolveStatus.CONVERGED, SolveStatus.CONVERGED,
+        SolveStatus.CONVERGED, SolveStatus.GAMMA_NON_NEGATIVE]
+    alphas = [s.alpha for s in curve.solves[1:4]]
+    assert np.allclose(alphas, [6.178295879464162, 1.1709251581503617,
+                                1.0180288347495876], rtol=0, atol=1e-8)
 
 
 def test_small_xi_exceeds_s_max():
