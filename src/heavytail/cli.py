@@ -19,6 +19,7 @@ import numpy as np
 
 from . import empirics, mc, recursion, spectral, svgfig, tailsolver, transferop
 from .config import RunConfig
+from .linalg import row_norms
 from .models import (ConfigurationError, DeterministicLaw, GoeLaw, ModelSpec,
                      Variant, load_law_file)
 from .recursion import StopRule
@@ -29,6 +30,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 INLINE_MODELS = ("rank1gauss", "rank1", "symm-goe", "symm-det-identity")
+
+# The most points a start:step:stop grid may have. The largest default grid
+# has 41 points (--s-grid 0:0.25:10).
+MAX_GRID_POINTS = 10_000
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
@@ -55,6 +60,9 @@ def _parse_grid(text: str) -> list[float]:
         if not 0 < step < math.inf or not 0 <= (stop - start) / step < math.inf:
             raise ConfigurationError(f"bad grid bounds in {text!r}")
         count = int(round((stop - start) / step))
+        if count >= MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"grid {text!r} has {count + 1:.3g} points, more than {MAX_GRID_POINTS}")
         return [start + k * step for k in range(count + 1)]
     values = [float(p) for p in text.replace(",", " ").split()]
     if not all(map(math.isfinite, values)):
@@ -155,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, samples_default=1000)
     p.add_argument("--n", type=_positive_int,
                    help="run exactly n steps instead of the stop rule")
-    p.add_argument("--tol-prod", type=float, default=1e-12)
+    p.add_argument("--tol-prod", type=_non_negative_float, default=1e-12)
     p.add_argument("--n-max", type=_positive_int, default=100_000)
 
     p = sub.add_parser("kcurve", help="k(s) over an s-grid")
@@ -441,14 +449,33 @@ def _cmd_operator(args) -> int:
     return EXIT_OK
 
 
-def _cmd_tailfit(args) -> int:
-    spec = _build_spec(args)
-    fracs = [float(f) for f in args.k_fracs.replace(",", " ").split()]
-    if not fracs:
-        raise ConfigurationError("--k-fracs is empty")
+_UNUSABLE = (recursion.StopStatus.DIVERGED.value,
+             recursion.StopStatus.NON_CONTRACTION.value)
+
+
+def _stationary_r(spec: ModelSpec, args) -> np.ndarray:
+    """The stationary draws R of the paths that stopped at tol_prod or n_max.
+    Diverged and non-contracting paths are dropped, with their counts on
+    stderr; if none is left, the run fails with exit code 3."""
     batch = recursion.sample_r_parallel(spec, args.samples, args.seed,
                                         workers=args.workers)
-    fits = empirics.hill_stability_scan(batch.abs_r, fracs)
+    dropped = np.isin(batch.status, _UNUSABLE)
+    if not dropped.any():
+        return batch.r
+    counts = ", ".join(f"{int((batch.status == s).sum())} {s}" for s in _UNUSABLE)
+    print(f"warning: dropped {dropped.sum()}/{args.samples} paths ({counts})",
+          file=sys.stderr)
+    if dropped.all():
+        raise empirics.EstimationError("no path stopped at tol_prod or n_max")
+    return batch.r[~dropped]
+
+
+def _cmd_tailfit(args) -> int:
+    spec = _build_spec(args)
+    fracs = _parse_grid(args.k_fracs)
+    if not fracs:
+        raise ConfigurationError("--k-fracs is empty")
+    fits = empirics.hill_stability_scan(row_norms(_stationary_r(spec, args)), fracs)
     rows = [[f, fit.k_order, fit.alpha_hat, fit.ci[0], fit.ci[1], fit.amplitude]
             for f, fit in zip(fracs, fits)]
     _write_csv(args.out,
@@ -465,10 +492,8 @@ def _cmd_angular(args) -> int:
     spec = _build_spec(args)
     if spec.d != 2:
         raise ConfigurationError("the angular test is specialized to d = 2")
-    batch = recursion.sample_r_parallel(spec, args.samples, args.seed,
-                                        workers=args.workers)
-    rep = empirics.angular_exceedance_test(batch.r, args.threshold_quantile,
-                                           level=args.level)
+    rep = empirics.angular_exceedance_test(_stationary_r(spec, args),
+                                           args.threshold_quantile, level=args.level)
     _write_csv(args.out,
                ["n_exceedances", "threshold", "ks_statistic", "ks_pvalue",
                 "resultant_statistic", "resultant_pvalue", "level", "inconclusive"],

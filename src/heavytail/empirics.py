@@ -19,6 +19,7 @@ import numpy as np
 from scipy import special, stats
 
 from . import mc
+from .linalg import row_norms
 from .models import ModelSpec, Variant, iter_h_blocks, pair_a
 
 DEFAULT_TEST_LEVEL = 0.01
@@ -121,7 +122,7 @@ def angular_exceedance_test(r_samples: np.ndarray, threshold_quantile: float = 0
         raise ValueError(f"expected (n, 2) samples, got shape {r.shape}")
     if not np.isfinite(r).all():
         raise ValueError("non-finite sample rows; filter diverged draws first")
-    norms = np.sqrt((r * r).sum(axis=1))
+    norms = row_norms(r)
     threshold = float(np.quantile(norms, threshold_quantile))
     exceed = r[norms > threshold]
     n = len(exceed)

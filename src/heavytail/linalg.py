@@ -1,37 +1,30 @@
 """Small dense norm helpers: operator norms (largest singular value) and
 Euclidean row norms.
 
-Accuracy target is 1e-12 relative. The 2x2 closed form is used where it is
-provably accurate and falls back to LAPACK SVD when the two singular values
-nearly coincide (where the closed form loses half the mantissa). Its squared
-Frobenius norm is squared again, which over- or underflows for entries
-beyond about 1e77 or below 1e-77; such matrices are first scaled by a power
-of two, which is exact.
+Accuracy target is 1e-12 relative. A 2x2 matrix [[a, b], [c, e]] has the
+largest singular value (|(a + e, b - c)| + |(a - e, b + c)|) / 2, a sum of
+two non-negative terms, so it keeps a few ulps of accuracy even where the
+two singular values nearly coincide (the closed form from the
+discriminant of M^T M lost up to 2e-11 there). Its squares over- or
+underflow for norms beyond about 1e154 or below 1e-154; such matrices are
+first scaled by a power of two, which is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# below this relative discriminant the 2x2 closed form cancels; use SVD
-_DISC_REL_FLOOR = 1e-10
-# squared Frobenius norms outside this range over- or underflow when squared
-_F_LO, _F_HI = 1e-150, 1e150
+# 2x2 norms outside this range may have over- or underflowed squares (a
+# norm read as 0 may be one)
+_NORM_LO, _NORM_HI = 1e-150, 1e150
 
 
-def _norms_2x2(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest singular values of a (n, 2, 2) stack, and the squared
-    Frobenius norms the closed form used."""
+def _norms_2x2(p: np.ndarray) -> np.ndarray:
+    """Largest singular values of a (n, 2, 2) stack."""
     a, b = p[:, 0, 0], p[:, 0, 1]
     c, e = p[:, 1, 0], p[:, 1, 1]
-    f = a * a + b * b + c * c + e * e
-    det = a * e - b * c
-    disc2 = f * f - 4.0 * det * det
-    out = np.sqrt((f + np.sqrt(np.maximum(disc2, 0.0))) / 2.0)
-    shaky = disc2 < _DISC_REL_FLOOR * f * f
-    if shaky.any():
-        out[shaky] = np.linalg.svd(p[shaky], compute_uv=False)[:, 0]
-    return out, f
+    s, t, u, v = a + e, b - c, a - e, b + c
+    return (np.sqrt(s * s + t * t) + np.sqrt(u * u + v * v)) / 2.0
 
 
 def batch_operator_norms(p: np.ndarray) -> np.ndarray:
@@ -44,13 +37,12 @@ def batch_operator_norms(p: np.ndarray) -> np.ndarray:
         return np.abs(p[:, 0, 0])
     if d == 2:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            out, f = _norms_2x2(p)
-        extreme = (f > _F_HI) | (f < _F_LO)
+            out = _norms_2x2(p)
+        extreme = (out > _NORM_HI) | (out < _NORM_LO)
         if extreme.any():
             q = p[extreme]
             exp = np.frexp(np.abs(q).max(axis=(1, 2)))[1]
-            scaled, _ = _norms_2x2(np.ldexp(q, -exp[:, None, None]))
-            out[extreme] = np.ldexp(scaled, exp)
+            out[extreme] = np.ldexp(_norms_2x2(np.ldexp(q, -exp[:, None, None])), exp)
         return out
     return np.linalg.svd(p, compute_uv=False)[..., 0]
 

@@ -525,33 +525,40 @@ def _parse_floats(text: str) -> list[float]:
 
 def _law_from_section(section, d: int, role: str):
     kind = section.get("kind", "gaussian").strip().lower()
+
+    def need(key: str) -> str:
+        if key not in section:
+            raise ConfigurationError(
+                f"[{section.name}] kind = {kind} needs the key {key!r}")
+        return section[key]
+
     if role == "h":
         if kind == "goe":
             return GoeLaw(d)
         if kind == "deterministic":
-            mats = _parse_bracketed_list(section["matrices"])
+            mats = _parse_bracketed_list(need("matrices"))
             if len(mats) != 1:
                 raise ConfigurationError("deterministic h_law takes exactly one matrix")
             return DeterministicLaw(np.asarray(mats[0], dtype=float))
         if kind == "mixture":
-            mats = tuple(np.asarray(m, dtype=float) for m in _parse_bracketed_list(section["matrices"]))
-            probs = tuple(_parse_floats(section["probs"]))
+            mats = tuple(np.asarray(m, dtype=float) for m in _parse_bracketed_list(need("matrices")))
+            probs = tuple(_parse_floats(need("probs")))
             return MatrixMixtureLaw(mats, probs)
         raise ConfigurationError(f"unknown h_law kind {kind!r}")
     if role in ("b", "a"):
         if kind == "gaussian":
             return GaussianVectorLaw(d)
         if kind == "mixture":
-            vecs = tuple(np.asarray(v, dtype=float) for v in _parse_bracketed_list(section["vectors"]))
-            probs = tuple(_parse_floats(section["probs"]))
+            vecs = tuple(np.asarray(v, dtype=float) for v in _parse_bracketed_list(need("vectors")))
+            probs = tuple(_parse_floats(need("probs")))
             return VectorMixtureLaw(vecs, probs)
         raise ConfigurationError(f"unknown {role}_law kind {kind!r}")
     # y law
     if kind == "gaussian":
         return GaussianScalarLaw()
     if kind == "mixture":
-        return ScalarMixtureLaw(tuple(_parse_floats(section["values"])),
-                                tuple(_parse_floats(section["probs"])))
+        return ScalarMixtureLaw(tuple(_parse_floats(need("values"))),
+                                tuple(_parse_floats(need("probs"))))
     raise ConfigurationError(f"unknown y_law kind {kind!r}")
 
 

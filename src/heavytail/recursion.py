@@ -31,56 +31,101 @@ class ProductState:
     """Pi_n = exp(log_scale) * pi and R_n = sum_k Pi_{k-1} B_k for a batch
     of independent paths, starting from Pi_0 = I and R_0 = 0.
 
+    The state is stored entry-major: ``pi_entries`` is (d, d, m) and
+    ``r_entries`` (d, m), so each matrix or vector entry is one contiguous
+    row over the m paths, and a step is a few whole-row multiply-adds in
+    place of m tiny matrix products. ``pi`` and ``r`` are (m, d, d) and
+    (m, d) views of them. Every entry of a product is the plain k-order
+    sum of its terms, with no BLAS kernel: for a C-ordered a, the bits of
+    ``np.einsum("mik,mkj->mij", pi, a)``.
+
     With ``gaussian_b`` the B's are standard Gaussian vectors independent of
     the A's and are never drawn: each step adds Pi_{k-1} Pi_{k-1}^T to a
     pending covariance S, and ``add_gaussian_b`` adds one N(0, S) draw per
     path to R and clears S. Given the A's, that draw has exactly the law of
     the pending sum of Pi_{k-1} B_k. S is stored as exp(2 cov_log_scale) *
-    cov; cov_log_scale rises to log_scale whenever log_scale passes it, and
-    a step adds (f pi)(f pi)^T with f = exp(log_scale - cov_log_scale) <= 1,
-    so cov overflows only where R would and the terms of contracting paths
-    underflow to 0. ``cov_factor`` holds f, and is None while every f is 1.
+    cov, also entry-major (d, d, m); cov_log_scale rises to log_scale
+    whenever log_scale passes it, and a step adds (f pi)(f pi)^T with
+    f = exp(log_scale - cov_log_scale) <= 1, so cov overflows only where R
+    would and the terms of contracting paths underflow to 0. ``cov_factor``
+    holds f, and is None while every f is 1.
     """
 
     def __init__(self, d: int, draws: int, gaussian_b: bool = False):
-        self.pi = np.broadcast_to(np.eye(d), (draws, d, d)).copy()
+        self.pi_entries = np.zeros((d, d, draws))
+        for i in range(d):
+            self.pi_entries[i, i] = 1.0
         self.log_scale = np.zeros(draws)
-        self.r = np.zeros((draws, d))
+        self.r_entries = np.zeros((d, draws))
+        self._spare = np.empty_like(self.pi_entries)  # the next step's product
+        self._term = np.empty(draws)                   # one product term
         self.cov = None
         if gaussian_b:
-            self.cov = np.zeros((draws, d, d))
+            self.cov = np.zeros((d, d, draws))
             self.cov_log_scale = np.zeros(draws)
             self.cov_factor = None
+
+    @property
+    def pi(self) -> np.ndarray:
+        """The (m, d, d) view of ``pi_entries``."""
+        return self.pi_entries.transpose(2, 0, 1)
+
+    @property
+    def r(self) -> np.ndarray:
+        """The (m, d) view of ``r_entries``."""
+        return self.r_entries.T
+
+    def _dot(self, out: np.ndarray, xs, ys) -> np.ndarray:
+        """out = sum_k xs[k] * ys[k] over rows, added in k order."""
+        np.multiply(xs[0], ys[0], out=out)
+        for x, y in zip(xs[1:], ys[1:]):
+            out += np.multiply(x, y, out=self._term)
+        return out
 
     def step(self, a: np.ndarray, b: np.ndarray | None = None) -> None:
         """R += Pi b (unless b is None), then Pi <- Pi a, for (m, d, d) a and
         (m, d) b. R is replaced, not updated in place, so a caller can keep
         the previous one. With ``gaussian_b``, b is None and Pi Pi^T is added
         to the pending covariance instead."""
+        pi, d = self.pi_entries, len(self.pi_entries)
         if b is not None:
-            self.r = self.r + (np.exp(self.log_scale)[:, None]
-                               * np.einsum("mij,mj->mi", self.pi, b))
+            scale, bt = np.exp(self.log_scale), b.T
+            r = np.empty_like(self.r_entries)
+            for i in range(d):
+                self._dot(r[i], pi[i], bt)
+                r[i] *= scale
+                r[i] += self.r_entries[i]
+            self.r_entries = r
         elif self.cov is not None:
-            p = self.pi if self.cov_factor is None else self.cov_factor[:, None, None] * self.pi
-            self.cov += p * p if a.shape[-1] == 1 else p @ np.swapaxes(p, 1, 2)
-        # at 1e5 stacked matrices @ beats einsum 5x at d = 2 and 3; at d = 1
-        # a plain product is as fast as einsum and 5x faster than @
-        self.pi = self.pi * a if a.shape[-1] == 1 else self.pi @ a
-        # max over the small axes took 5.2 ms at d = 2 and 1e5 matrices, a
-        # running maximum over the d * d entries 1.0 ms
-        peak = functools.reduce(np.maximum, np.abs(self.pi.reshape(len(self.pi), -1)).T)
-        rescale = (peak > _RENORM_HI) | ((peak > 0) & (peak < _RENORM_LO))
-        if rescale.any():
-            nm = batch_operator_norms(self.pi[rescale])
-            self.pi[rescale] /= nm[:, None, None]
+            p = pi if self.cov_factor is None else pi * self.cov_factor
+            # the spare rows are free until Pi a is formed below
+            for i in range(d):
+                for j in range(i, d):
+                    # S is symmetric, and x * y == y * x bit for bit
+                    t = self._dot(self._spare[i, j], p[i], p[j])
+                    self.cov[i, j] += t
+                    if j > i:
+                        self.cov[j, i] += t
+        at, new = a.transpose(1, 2, 0), self._spare
+        for i in range(d):
+            for j in range(d):
+                self._dot(new[i, j], pi[i], at[:, j])
+        self.pi_entries, self._spare = new, pi
+        # running maximum over the d * d entry rows
+        peak = functools.reduce(np.maximum, map(np.abs, new.reshape(d * d, -1)))
+        rescale = np.flatnonzero((peak > _RENORM_HI) | ((peak > 0) & (peak < _RENORM_LO)))
+        if rescale.size:
+            sub = new[:, :, rescale]
+            nm = batch_operator_norms(sub.transpose(2, 0, 1))
+            new[:, :, rescale] = sub / nm
             self.log_scale[rescale] += np.log(nm)
             if self.cov is not None:
                 ls, c = self.log_scale[rescale], self.cov_log_scale[rescale]
                 up = np.maximum(ls, c)
-                self.cov[rescale] *= np.exp(2.0 * (c - up))[:, None, None]
+                self.cov[:, :, rescale] *= np.exp(2.0 * (c - up))
                 self.cov_log_scale[rescale] = up
                 if self.cov_factor is None:
-                    self.cov_factor = np.ones(len(self.pi))
+                    self.cov_factor = np.ones(len(self.log_scale))
                 self.cov_factor[rescale] = np.exp(ls - up)
 
     def add_gaussian_b(self, rng: np.random.Generator) -> None:
@@ -88,10 +133,10 @@ class ProductState:
         then clear the pending covariance."""
         z = rng.standard_normal(self.r.shape)
         if z.shape[1] == 1:
-            inc = np.sqrt(self.cov[:, :, 0]) * z
+            inc = np.sqrt(self.cov[0]) * z.T
         else:
-            inc = np.einsum("mij,mj->mi", _psd_factor(self.cov), z)
-        self.r = self.r + np.exp(self.cov_log_scale)[:, None] * inc
+            inc = np.einsum("mij,mj->im", _psd_factor(self.cov.transpose(2, 0, 1)), z)
+        self.r_entries = self.r_entries + np.exp(self.cov_log_scale) * inc
         self.cov[:] = 0.0
         self.cov_log_scale = self.log_scale.copy()
         self.cov_factor = None
@@ -102,7 +147,12 @@ class ProductState:
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the paths where mask is False (not for a ``gaussian_b`` state)."""
-        self.pi, self.log_scale, self.r = self.pi[mask], self.log_scale[mask], self.r[mask]
+        idx = np.flatnonzero(mask)
+        self.pi_entries = self.pi_entries.take(idx, axis=-1)
+        self.r_entries = self.r_entries.take(idx, axis=-1)
+        self.log_scale = self.log_scale.take(idx)
+        self._spare = np.empty_like(self.pi_entries)
+        self._term = np.empty(idx.size)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -171,7 +221,8 @@ def sample_r_batch(spec: ModelSpec, draws: int, rng: np.random.Generator,
         with np.errstate(over="ignore", invalid="ignore"):
             state.step(pair_a(spec, h), b)
             log_norm = state.log_norms()
-        bad = ~np.isfinite(log_norm) | ~np.isfinite(state.r).all(axis=1)
+        bad = ~np.isfinite(log_norm) | ~functools.reduce(
+            np.logical_and, map(np.isfinite, state.r_entries))
         done = ~bad & (log_norm <= log_tol)
         ended = bad | done
         if ended.any():

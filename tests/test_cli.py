@@ -4,14 +4,18 @@ import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heavytail import recursion
 from heavytail.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, INLINE_MODELS,
-                           _parse_grid, main)
+                           MAX_GRID_POINTS, _parse_grid, main)
 from heavytail.config import RunConfig
-from heavytail.models import ConfigurationError
+from heavytail.empirics import angular_exceedance_test, hill_stability_scan
+from heavytail.linalg import row_norms
+from heavytail.models import ConfigurationError, load_law_file
 
 MIX_LAW = """\
 [model]
@@ -45,6 +49,17 @@ def test_grid_parsing():
     for bad in ("1:2:3:4", "0:inf:0", "0:1:inf", "nan:1:2", "nan,1", "1,-inf"):
         with pytest.raises(ConfigurationError):
             _parse_grid(bad)
+
+
+def test_grid_length_is_bounded(capsys):
+    assert len(_parse_grid(f"1:1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+    for bad in (f"1:1:{MAX_GRID_POINTS + 1}", "0:1e-6:1", "0:1e-300:1"):
+        with pytest.raises(ConfigurationError, match="points"):
+            _parse_grid(bad)
+    assert run_cli(["alphacurve", "--model", "rank1gauss", "--eta", "1.0",
+                    "--xi-grid", "0:1e-300:1", "--samples", "10"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "more than" in err and "Traceback" not in err
 
 
 def test_kcurve_deterministic_identity(tmp_path, capsys):
@@ -348,6 +363,147 @@ def test_fuzzed_lyapunov_flags_exit_cleanly(fuzz_models, data, method, n, sample
                          f"--method={method}", f"--n={n}", f"--samples={samples}"])
 
 
+# Tolerances: any float in [0, 1] or an invalid spelling (negative, NaN,
+# infinite or no number).
+_TOL = _mostly(st.floats(0, 1).map(repr),
+               st.one_of(st.floats(max_value=-1e-300).map(repr),
+                         st.sampled_from(["nan", "inf", "-inf", "1e400"]), _JUNK))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_max=_COUNT, tol=_TOL, samples=_COUNT,
+       n=st.one_of(st.none(), _COUNT))
+def test_fuzzed_simulate_flags_exit_cleanly(fuzz_models, fuzz_out, data, n_max, tol,
+                                            samples, n):
+    # --n-max (or --n) is at most 120, so any law stays tiny
+    argv = ["simulate", *data.draw(_model_flags(fuzz_models)), f"--n-max={n_max}",
+            f"--tol-prod={tol}", f"--samples={samples}", f"--out={fuzz_out}"]
+    _fuzz_exits_cleanly(argv + ([] if n is None else [f"--n={n}"]))
+
+
+# tailfit and angular run the default stop rule (n_max = 100,000), so their
+# laws contract: the fuzz laws with eta in (0, 1.9], where |A| <= 0.8 for
+# the d = 1 mixture and |A| = |1 - eta| for the identity.
+_STOP_ETA = _mostly(st.floats(0.01, 1.9).map(repr),
+                    st.one_of(st.sampled_from(["0", "-1", "nan", "inf", "1e400"]), _JUNK))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.integers(0, 1), eta=_STOP_ETA, samples=_COUNT,
+       k_fracs=_mostly(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3).map(
+           lambda fs: ",".join(map(repr, fs))), _GRID))
+def test_fuzzed_tailfit_flags_exit_cleanly(fuzz_models, fuzz_out, model, eta, samples,
+                                           k_fracs):
+    _fuzz_exits_cleanly(["tailfit", *fuzz_models[model], f"--eta={eta}",
+                         f"--samples={samples}", f"--k-fracs={k_fracs}",
+                         f"--out={fuzz_out}"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from(["1", "2", "3"]), eta=_STOP_ETA, samples=_COUNT,
+       quantile=_REAL, level=_REAL)
+def test_fuzzed_angular_flags_exit_cleanly(fuzz_out, d, eta, samples, quantile, level):
+    _fuzz_exits_cleanly(["angular", "--model", "symm-det-identity", f"--d={d}",
+                         f"--eta={eta}", f"--samples={samples}",
+                         f"--threshold-quantile={quantile}", f"--level={level}",
+                         f"--out={fuzz_out}"])
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.5", "x"])
+def test_simulate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    code, err = _exit_code(["simulate", "--model", "rank1gauss", "--eta", "0.5",
+                            "--n-max", "500", "--samples", "5", f"--tol-prod={tol}"])
+    assert code == EXIT_CONFIG and "--tol-prod" in err
+
+
+@pytest.mark.parametrize("section, kind, key", [
+    ("h_law", "deterministic", "matrices"),
+    ("h_law", "mixture", "probs"),
+    ("b_law", "mixture", "vectors"),
+])
+def test_law_file_missing_key_exits_2(section, kind, key, tmp_path, capsys):
+    keys = {"matrices": "matrices = [[1.0]]", "probs": "probs = 1.0",
+            "vectors": "vectors = [1.0]"}
+    need = {"deterministic": ["matrices"], "mixture": ["matrices", "probs"]}[kind]
+    if section == "b_law":
+        need = ["vectors", "probs"]
+    lines = [keys[k] for k in need if k != key]
+    h_law = "" if section == "h_law" else "[h_law]\nkind = goe\n"
+    law = tmp_path / "missing.law"
+    law.write_text("[model]\nvariant = symm\nd = 1\nb = 1\neta = 0.5\n\n" + h_law
+                   + f"[{section}]\nkind = {kind}\n" + "\n".join(lines) + "\n")
+    assert run_cli(["alpha", "--law-file", law, "--samples", "10"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"[{section}]" in err and repr(key) in err and "Traceback" not in err
+
+
+# A d = 2 law whose paths end in all three ways: A = 0 ends a path
+# (tol_prod), two steps of A = (1 + 1e200) I overflow R (diverged), and a
+# run of A = -I up to n_max does not contract (non_contraction).
+SPLIT_LAW = """\
+[model]
+variant = symm
+d = 2
+b = 1
+eta = 1.0
+
+[h_law]
+kind = mixture
+matrices = [[1.0, 0.0], [0.0, 1.0]] ; [[2.0, 0.0], [0.0, 2.0]] ; [[-1e200, 0.0], [0.0, -1e200]]
+probs = 0.1, 0.85, 0.05
+"""
+
+
+@pytest.fixture
+def short_stop_rule(monkeypatch):
+    """tailfit and angular with n_max = 20, so non-contracting paths end fast."""
+    original = recursion.sample_r_parallel
+
+    def run(spec, draws, seed, stop=recursion.StopRule(), workers=None):
+        return original(spec, draws, seed, recursion.StopRule(n_max=20), workers)
+
+    monkeypatch.setattr(recursion, "sample_r_parallel", run)
+    return original
+
+
+@pytest.mark.parametrize("cmd", ["tailfit", "angular"])
+def test_diverged_and_non_contracting_paths_are_dropped(cmd, short_stop_rule, tmp_path,
+                                                        capsys):
+    law = tmp_path / "split.law"
+    law.write_text(SPLIT_LAW)
+    out = tmp_path / "out.csv"
+    assert run_cli([cmd, "--law-file", law, "--samples", "3000", "--seed", "5",
+                    "--workers", "1", "--out", out]) == EXIT_OK
+    batch = short_stop_rule(load_law_file(str(law)), 3000, 5,
+                            recursion.StopRule(n_max=20), 1)
+    counts = {s: int((batch.status == s).sum())
+              for s in ("diverged", "non_contraction")}
+    assert min(counts.values()) > 0
+    err = capsys.readouterr().err
+    assert (f"dropped {sum(counts.values())}/3000 paths ({counts['diverged']} diverged, "
+            f"{counts['non_contraction']} non_contraction)") in err
+    kept = batch.r[np.isin(batch.status, ["tol_prod", "n_max"])]
+    if cmd == "tailfit":
+        fits = hill_stability_scan(row_norms(kept), [0.005, 0.01, 0.02])
+        want = [f.alpha_hat for f in fits]
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert [float(row["alpha_hat"]) for row in csv.DictReader(fh)] == want
+    else:
+        rep = angular_exceedance_test(kept, 0.99)
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert int(next(csv.DictReader(fh))["n_exceedances"]) == rep.n_exceedances
+
+
+@pytest.mark.parametrize("cmd", ["tailfit", "angular"])
+def test_no_usable_path_exits_3(cmd, short_stop_rule, capsys):
+    # A = -I: every path runs to n_max with ||Pi|| = 1
+    assert run_cli([cmd, "--model", "symm-det-identity", "--d", "2", "--eta", "2",
+                    "--samples", "50"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "dropped 50/50 paths (0 diverged, 50 non_contraction)" in err
+    assert "no path stopped" in err
+
+
 def test_config_non_positive_count_exits_2(tmp_path, capsys):
     path = tmp_path / "zero.cfg"
     path.write_text(RunConfig("kcurve", {"model": "rank1gauss", "eta": "0.5",
@@ -428,8 +584,12 @@ WORKER_COMMANDS = {
 
 # The CSVs at --seed 4 --workers 1 on SYMM2_LAW, as written when these
 # commands drew one stream from substream(seed, 0) whatever --workers said.
+# simulate is pinned as the entry-major product kernel writes it: its d = 2
+# products are plain k-order sums, where OpenBLAS fused a multiply-add, so
+# the last bits of r and log_norm_pi moved (test_recursion checks it against
+# an @ reference); tailfit and angular kept their bytes.
 ONE_WORKER_SHA256 = {
-    "simulate": "dc32c659d6c77d604a3788e7a366919e10a774fd23e6fd4f61604f8a5067ea77",
+    "simulate": "18044768340839594ec04b3e9b085d182e042b096c29d396f5266edac28e52c5",
     "tailfit": "551e3fad520a11a3fbe5a878a49f690dce355ffc1d0ffa85c8cfb26365492fd4",
     "angular": "9d00d60ef8b0c17c002add524028d1931ba1e3395243148c590ea0f089a7de0f",
 }
@@ -443,6 +603,20 @@ def test_one_worker_keeps_single_stream_bytes(cmd, tmp_path):
     assert run_cli([cmd, "--law-file", law, *WORKER_COMMANDS[cmd], "--seed", "4",
                     "--workers", "1", "--out", out]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ONE_WORKER_SHA256[cmd]
+
+
+# simulate at d = 1 (the Bartlett sampler, rank1gauss b = 3) as written
+# before the entry-major kernel: a d = 1 product has one term, so its bits
+# do not depend on the kernel.
+D1_SIMULATE_SHA256 = "d1db70304ecd59d508f9b6260816e7c7344739d48e99dd55b6bc3c5d0f5114c9"
+
+
+def test_d1_simulate_keeps_its_bytes(tmp_path):
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--model", "rank1gauss", "--d", "1", "--b", "3",
+                    "--eta", "0.5", "--samples", "300", "--seed", "4", "--workers", "1",
+                    "--out", out]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == D1_SIMULATE_SHA256
 
 
 @pytest.mark.parametrize("cmd", sorted(WORKER_COMMANDS))
@@ -482,16 +656,18 @@ FROZEN_SAMPLE_COMMANDS = {
 # written when each solver drew its own sample from (spec, samples, seed).
 # alpha and alphacurve are pinned as brentq writes them: alpha, stderr_alpha
 # and residual differ from the earlier scan-and-polish solver by < 3e-13, and
-# the alpha bracket is the checked interval [1e-4, 30].
+# the alpha bracket is the checked interval [1e-4, 30]. kcurve-product and
+# lyapunov-subadditive are pinned as the entry-major product kernel writes
+# them (plain k-order sums).
 FROZEN_SAMPLE_SHA256 = {
     "alpha": "809c630533b1bc792ea53668d10db5d9d56803ec5d63e253f7691441db8f6f08",
     "alphacurve": "9cd1d0764d88570270e709d335701e2014d136708dd363f46c52904065ab2646",
     "contour-b": "cc6fa1a914755f9286f8248ac25207e80d07b2ab4aef4efd04a266b309b9c86f",
     "kcurve-closed": "c7b3c8a179605a17bfe6fdaa50c8bbd838d7b1f18def39494dd7e237228612d6",
-    "kcurve-product": "5207f0a8b50b50219a51ca326ab06969da1b20093cf14e0ed4c333006cadc088",
+    "kcurve-product": "f31c365b20aad96596a7b5444c1f696ceb90a1c17b36fcaa0801ee06db9f859b",
     "lyapunov-closed": "358e3c103238679ad72be0f8831f86b37a04bc106abd745f8863cf6b23eec592",
     "lyapunov-subadditive":
-        "399c2e875167e4e1cdc07a0fa456d7924bc7134a4ce524539e27890f8a55e8b1",
+        "f4e5cd28fd2733a55e83fc4f6d92ba5b4c5d155cff6cd9d9e206ddd04ea99ee7",
 }
 
 

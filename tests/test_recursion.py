@@ -45,7 +45,7 @@ def test_operator_norm_accuracy():
     m2 = rng.standard_normal((500, 2, 2))
     ref = np.linalg.svd(m2, compute_uv=False)[:, 0]
     assert np.allclose(batch_operator_norms(m2), ref, rtol=1e-12)
-    # near-equal singular values (rotation matrices) take the SVD fallback
+    # near-equal singular values (rotation matrices)
     th = rng.random(100) * 2 * np.pi
     rots = np.stack([np.stack([np.cos(th), -np.sin(th)], axis=1),
                      np.stack([np.sin(th), np.cos(th)], axis=1)], axis=1)
@@ -54,12 +54,93 @@ def test_operator_norm_accuracy():
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-80, 1e80, 1e150, 1e300])
 def test_operator_norm_at_extreme_scales(scale):
-    # the 2x2 closed form squares the squared Frobenius norm, which over- or
-    # underflows past about 1e77; such matrices are rescaled by powers of two
+    # the 2x2 form squares sums of entries, which over- or underflow past
+    # about 1e154; such matrices are rescaled by powers of two
     m = np.random.default_rng(7).standard_normal((200, 2, 2))
     ref = np.linalg.svd(m, compute_uv=False)[:, 0]
     assert np.allclose(batch_operator_norms(m * scale) / scale, ref,
                        rtol=1e-12, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=hnp.arrays(float, 8, elements=st.floats(0, 2 * np.pi)),
+       noise=hnp.arrays(float, (8, 2, 2), elements=st.floats(-1, 1)),
+       log_eps=st.floats(-17, -1), log_scale=st.floats(-140, 140),
+       flip=st.booleans())
+def test_operator_norm_near_equal_singular_values(theta, noise, log_eps, log_scale, flip):
+    # a rotation (or reflection) plus a small perturbation has two nearly
+    # equal singular values; the kernel passes the transposed view of its
+    # entry-major (2, 2, m) product, so both layouts are checked
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+    if flip:
+        rot[:, 1] *= -1.0
+    m = 10.0 ** log_scale * (rot + 10.0 ** log_eps * noise)
+    ref = np.linalg.svd(m, compute_uv=False)[:, 0]
+    view = np.ascontiguousarray(m.transpose(1, 2, 0)).transpose(2, 0, 1)
+    for stack in (m, view):
+        assert np.allclose(batch_operator_norms(stack), ref, rtol=1e-12, atol=0)
+
+
+def _einsum_matmul(x, y):
+    """x @ y for (m, d, d) x and (m, d, e) y, by np.einsum("mik,mkj->mij").
+    einsum adds the terms of a strided contraction axis in k order, but those
+    of a contiguous one in SIMD pairs, so y is copied to C order and needs
+    e >= 2 (or d = 1)."""
+    return np.einsum("mik,mkj->mij", x, np.ascontiguousarray(y))
+
+
+def _einsum_reference(a_steps, b_steps, gaussian_b):
+    """ProductState's recursion with every product an einsum; returns pi,
+    log_scale, r, and the covariance and its log scale."""
+    m, d = a_steps[0].shape[:2]
+    pi = np.broadcast_to(np.eye(d), (m, d, d)).copy()
+    log_scale, cov_log_scale, factor = np.zeros(m), np.zeros(m), np.ones(m)
+    r, cov = np.zeros((m, d)), np.zeros((m, d, d))
+    for a, b in zip(a_steps, b_steps):
+        if gaussian_b:
+            p = pi * factor[:, None, None]
+            cov += _einsum_matmul(p, p.transpose(0, 2, 1))
+        else:
+            pi_b = _einsum_matmul(pi, np.stack([b, b], axis=2))[:, :, 0]
+            r = pi_b * np.exp(log_scale)[:, None] + r
+        pi = _einsum_matmul(pi, a)
+        peak = np.abs(pi).max(axis=(1, 2))
+        hit = (peak > 1e150) | ((peak > 0) & (peak < 1e-150))
+        nm = batch_operator_norms(pi[hit])
+        pi[hit] /= nm[:, None, None]
+        log_scale[hit] += np.log(nm)
+        up = np.maximum(log_scale[hit], cov_log_scale[hit])
+        cov[hit] *= np.exp(2.0 * (cov_log_scale[hit] - up))[:, None, None]
+        factor[hit] = np.exp(log_scale[hit] - up)
+        cov_log_scale[hit] = up
+    return pi, log_scale, r, cov, cov_log_scale
+
+
+@pytest.mark.parametrize("gaussian_b", [False, True], ids=["b", "gaussian-b"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_product_state_bitwise_equal_to_einsum(d, gaussian_b):
+    # rows 0-9 grow by about 1e20 a step and rows 10-19 shrink by 1e-20, so
+    # both re-base by step 8 while R stays finite; the rest do not re-base
+    rng = np.random.default_rng(40 + d)
+    m, steps = 30, 14
+    scale = np.ones(m)
+    scale[:10], scale[10:20] = 1e20, 1e-20
+    a_steps = [scale[:, None, None] * rng.standard_normal((m, d, d)) for _ in range(steps)]
+    b_steps = [rng.standard_normal((m, d)) for _ in range(steps)]
+    state = ProductState(d, m, gaussian_b)
+    for a, b in zip(a_steps, b_steps):
+        state.step(a, None if gaussian_b else b)
+    pi, log_scale, r, cov, cov_log_scale = _einsum_reference(a_steps, b_steps, gaussian_b)
+    assert (log_scale[:20] != 0).all() and (log_scale[20:] == 0).all()
+    assert np.array_equal(state.pi, pi)
+    assert np.array_equal(state.log_scale, log_scale)
+    if gaussian_b:
+        assert (cov[:20] != 0).any()
+        assert np.array_equal(state.cov.transpose(2, 0, 1), cov)
+        assert np.array_equal(state.cov_log_scale, cov_log_scale)
+    else:
+        assert np.array_equal(state.r, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,6 +241,44 @@ def test_sample_r_geometric_stop():
     assert batch.n_steps[0] == 40  # 2^-40 < 1e-12
     assert abs(batch.r[0, 0] - 2.0) < 1e-11
     assert batch.r[0, 1] == 0.0
+
+
+def _matmul_stop_rule_reference(spec, draws, rng, stop):
+    """sample_r_batch's stop rule on stacked @ products, for a law whose
+    products neither re-base nor diverge: (r, n_steps, status)."""
+    d = spec.d
+    pi = np.broadcast_to(np.eye(d), (draws, d, d)).copy()
+    r_run, r = np.zeros((draws, d)), np.zeros((draws, d))
+    n_steps = np.zeros(draws, dtype=int)
+    status = np.full(draws, StopStatus.N_MAX.value, dtype=object)
+    active = np.arange(draws)
+    for n in range(1, stop.n_max + 1):
+        h, b = sample_pairs(spec, active.size, rng)
+        r_run = r_run + (pi @ b[:, :, None])[:, :, 0]
+        pi = pi @ pair_a(spec, h)
+        done = np.linalg.svd(pi, compute_uv=False)[:, 0] <= stop.tol_prod
+        status[active[done]] = StopStatus.TOL_PROD.value
+        n_steps[active[done]] = n
+        r[active[done]] = r_run[done]
+        pi, r_run, active = pi[~done], r_run[~done], active[~done]
+        if not active.size:
+            break
+    n_steps[active], r[active] = stop.n_max, r_run
+    return r, n_steps, status
+
+
+def test_sample_r_batch_matches_a_matmul_reference():
+    # the d = 2 finite-support law of the CLI's one-worker digests
+    h_law = MatrixMixtureLaw((np.array([[1.0, 0.5], [0.5, 1.0]]),
+                              np.array([[0.2, 0.0], [0.0, 1.6]])), (0.5, 0.5))
+    spec = symm(d=2, b=2, eta=0.8, h_law=h_law)
+    stop = StopRule()
+    batch = sample_r_batch(spec, 2000, mc.substream(4, 0), stop)
+    r, n_steps, status = _matmul_stop_rule_reference(spec, 2000, mc.substream(4, 0), stop)
+    assert (status == StopStatus.TOL_PROD.value).all()
+    assert np.array_equal(batch.n_steps, n_steps)
+    assert np.array_equal(batch.status, status)
+    assert (row_norms(batch.r - r) <= 1e-9 * row_norms(r)).all()
 
 
 def test_sample_r_parallel_concatenates_worker_substreams():
