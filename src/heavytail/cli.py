@@ -120,9 +120,8 @@ def _build_spec(args) -> ModelSpec:
     if args.eta is None:
         raise ConfigurationError("--eta is required")
     eta = args.eta
-    if model == "rank1gauss":
-        return ModelSpec(Variant.RANK1_GAUSS, d=d, b=b, eta=eta)
-    if model == "rank1":
+    if model in ("rank1", "rank1gauss"):
+        # rank1gauss is rank1 with its default (Gaussian) laws
         return ModelSpec(Variant.RANK1, d=d, b=b, eta=eta)
     if model == "symm-goe":
         return ModelSpec(Variant.SYMM, d=d, b=b, eta=eta, h_law=GoeLaw(d))
@@ -130,14 +129,6 @@ def _build_spec(args) -> ModelSpec:
         return ModelSpec(Variant.SYMM, d=d, b=b, eta=eta,
                          h_law=DeterministicLaw(np.eye(d)))
     raise ConfigurationError(f"unknown model {model!r}")
-
-
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=INLINE_MODELS, help="built-in model family")
-    p.add_argument("--law-file", help="law file defining the model (overrides --model)")
-    p.add_argument("--d", type=int, help="dimension (default 1)")
-    p.add_argument("--b", type=int, help="batch size (default 1)")
-    p.add_argument("--eta", type=float, help="step size")
 
 
 def _add_common(p: argparse.ArgumentParser, samples_default: int = 100_000) -> None:
@@ -150,6 +141,21 @@ def _add_common(p: argparse.ArgumentParser, samples_default: int = 100_000) -> N
                    help="write the effective flags as a run-config file")
 
 
+def _add_command(sub, name: str, handler, samples_default: int = 100_000,
+                 **kwargs) -> argparse.ArgumentParser:
+    """A subcommand run as ``handler(args, spec)`` on the model its flags
+    name, with the common flags."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler)
+    p.add_argument("--model", choices=INLINE_MODELS, help="built-in model family")
+    p.add_argument("--law-file", help="law file defining the model (overrides --model)")
+    p.add_argument("--d", type=int, help="dimension (default 1)")
+    p.add_argument("--b", type=int, help="batch size (default 1)")
+    p.add_argument("--eta", type=float, help="step size")
+    _add_common(p, samples_default)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heavytail",
@@ -158,80 +164,67 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="run-config file providing flag defaults")
     sub = parser.add_subparsers(dest="subcommand", required=False)
 
-    p = sub.add_parser("simulate", help="draw truncated stationary samples R")
-    _add_model_args(p)
-    _add_common(p, samples_default=1000)
+    p = _add_command(sub, "simulate", _cmd_simulate, 1000,
+                     help="draw truncated stationary samples R")
     p.add_argument("--n", type=_positive_int,
                    help="run exactly n steps instead of the stop rule")
     p.add_argument("--tol-prod", type=_non_negative_float, default=1e-12)
     p.add_argument("--n-max", type=_positive_int, default=100_000)
 
-    p = sub.add_parser("kcurve", help="k(s) over an s-grid")
-    _add_model_args(p)
-    _add_common(p)
+    p = _add_command(sub, "kcurve", _cmd_kcurve, help="k(s) over an s-grid")
     p.add_argument("--s-grid", default="0:0.25:10")
     p.add_argument("--method", choices=["closed", "product"], default="closed")
     p.add_argument("--n", type=_positive_int, default=40,
                    help="product length (product method)")
 
-    p = sub.add_parser("lyapunov", help="top Lyapunov exponent")
-    _add_model_args(p)
-    _add_common(p)
+    p = _add_command(sub, "lyapunov", _cmd_lyapunov, help="top Lyapunov exponent")
     p.add_argument("--method", choices=["closed", "subadditive"], default="closed")
     p.add_argument("--n", type=_positive_int, default=200)
 
-    p = sub.add_parser("alpha", help="tail index: root of h(xi, s) = 1 in s")
-    _add_model_args(p)
-    _add_common(p, samples_default=200_000)
+    p = _add_command(sub, "alpha", _cmd_alpha, 200_000,
+                     help="tail index: root of h(xi, s) = 1 in s")
     p.add_argument("--s-max", type=_positive_float, default=spectral.S_MAX_DEFAULT)
 
-    p = sub.add_parser("alphacurve", help="alpha(xi) over a xi-grid, with xi_1")
-    _add_model_args(p)
-    _add_common(p, samples_default=200_000)
+    p = _add_command(sub, "alphacurve", _cmd_alphacurve, 200_000,
+                     help="alpha(xi) over a xi-grid, with xi_1")
     p.add_argument("--xi-grid", required=False)
 
-    p = sub.add_parser("contour", help="h over a (param, s) grid + h=1 isoline")
-    _add_model_args(p)
-    _add_common(p)
+    p = _add_command(sub, "contour", _cmd_contour,
+                     help="h over a (param, s) grid + h=1 isoline")
     p.add_argument("--param", choices=["b", "eta"], required=False, default="b")
     p.add_argument("--param-grid", required=False)
     p.add_argument("--s-grid", default="0.25:0.25:10")
     p.add_argument("--clip", type=_positive_float, default=2.0)
     p.add_argument("--svg", help="also write the heat-grid + isoline as SVG")
 
-    p = sub.add_parser("operator", help="discretized transfer operator (d=2)")
-    _add_model_args(p)
-    _add_common(p, samples_default=10_000)
-    p.add_argument("--s", type=float, default=1.0)
+    p = _add_command(sub, "operator", _cmd_operator, 10_000,
+                     help="discretized transfer operator (d=2)")
+    p.add_argument("--s", type=_non_negative_float, default=1.0)
     p.add_argument("--bins", type=_positive_int, default=256)
 
-    p = sub.add_parser("tailfit", help="Hill tail-index fit on simulated |R|")
-    _add_model_args(p)
-    _add_common(p)
+    p = _add_command(sub, "tailfit", _cmd_tailfit,
+                     help="Hill tail-index fit on simulated |R|")
     p.add_argument("--k-fracs", default="0.005,0.01,0.02",
                    help="stability-scan fractions of the sample used as tail")
 
-    p = sub.add_parser("angular", help="uniformity tests on exceedance angles (d=2)")
-    _add_model_args(p)
-    _add_common(p)
+    p = _add_command(sub, "angular", _cmd_angular,
+                     help="uniformity tests on exceedance angles (d=2)")
     p.add_argument("--threshold-quantile", type=float, default=0.99)
     p.add_argument("--level", type=float, default=0.01)
 
-    p = sub.add_parser("integrability", help="negative-moment truncated-mean ladder")
-    _add_model_args(p)
-    _add_common(p)
+    p = _add_command(sub, "integrability", _cmd_integrability,
+                     help="negative-moment truncated-mean ladder")
     p.add_argument("--target", choices=[t.value for t in empirics.IntegrabilityTarget],
                    default="det_a")
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--caps", default="10,100,1000,10000")
 
-    p = sub.add_parser("gausscheck", help="Gaussian-model density diagnostics")
-    _add_model_args(p)
-    _add_common(p)
+    p = _add_command(sub, "gausscheck", _cmd_gausscheck,
+                     help="Gaussian-model density diagnostics")
     p.add_argument("--check", choices=["chi2", "stam", "both"], default="both")
 
-    p = sub.add_parser(
-        "moments", help="E|R_n|^alpha over an n-grid (shared paths)",
+    p = _add_command(
+        sub, "moments", _cmd_moments, help="E|R_n|^alpha over an n-grid (shared paths)",
         description="E|R_n|^alpha over an n-grid, nested over shared paths. For a "
                     "finite-support H law (deterministic or mixture) the estimate is "
                     "importance-sampled from a defensive mixture of alpha-tilts, with "
@@ -240,30 +233,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "b-fold sum support has more than 4(b + d) points. Its stderr is "
                     "a sample stderr and can understate the error by many sigma when "
                     "alpha is near the tail index.")
-    _add_model_args(p)
-    _add_common(p)
     p.add_argument("--alpha", type=_positive_float, required=False)
     p.add_argument("--n-grid", default="50,100,200,400,800")
 
-    p = sub.add_parser("tailbound", help="finite-iteration exceedance curve + slope")
-    _add_model_args(p)
-    _add_common(p)
+    p = _add_command(sub, "tailbound", _cmd_tailbound,
+                     help="finite-iteration exceedance curve + slope")
     p.add_argument("--alpha", type=_positive_float, required=False)
     p.add_argument("--epsilon", type=_non_negative_float, default=0.5)
     p.add_argument("--n", type=_positive_int, default=20)
     p.add_argument("--t-grid", help="explicit t values (default: data quantiles)")
 
-    p = sub.add_parser("reproduce-fig1",
-                       help="h(b, s) contour grid, d=2, eta=0.75, b=1..12")
-    _add_common(p)
-    p.add_argument("--svg", default="fig1.svg")
-
-    p = sub.add_parser("reproduce-fig2",
-                       help="h(eta, s) contour grid, d=2, b=5")
-    _add_common(p)
-    p.add_argument("--svg", default="fig2.svg")
+    # The paper's figures are contour runs of rank1gauss at d = 2, eta = 0.75
+    # with these presets; of contour's flags they take only the common ones
+    # and --svg.
+    for fig, help_text, b, param, param_grid in (
+            (1, "h(b, s) contour grid, d=2, eta=0.75, b=1..12", 1, "b", "1:1:12"),
+            (2, "h(eta, s) contour grid, d=2, b=5", 5, "eta", "0.05:0.05:1.5")):
+        p = sub.add_parser(f"reproduce-fig{fig}", help=help_text)
+        _add_common(p)
+        p.add_argument("--svg", default=f"fig{fig}.svg")
+        p.set_defaults(handler=_cmd_contour, model="rank1gauss", d=2, b=b, eta=0.75,
+                       param=param, param_grid=param_grid, s_grid="0.25:0.25:10",
+                       clip=2.0, out=f"fig{fig}.csv")
 
     return parser
+
+
+def _subparser(parser: argparse.ArgumentParser, name: str):
+    """The subparser of subcommand ``name``, or None."""
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices.get(name)
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -277,9 +276,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     argv = [a for a in argv if a != "--config" and a != known.config]
     if not argv or argv[0].startswith("-"):
         argv = [run_cfg.subcommand] + argv
-    sub_actions = [a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    subparser = sub_actions[0].choices.get(argv[0])
+    subparser = _subparser(parser, argv[0])
     if subparser is None:
         raise ConfigurationError(f"unknown subcommand {argv[0]!r} in config")
     converted = {}
@@ -293,19 +290,21 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     return argv
 
 
-def run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    skip = {"subcommand", "config", "dump_config"}
-    payload = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+def run_config_from_args(args: argparse.Namespace, subparser) -> RunConfig:
+    """The run config that replays ``args``: the values of the subcommand's
+    own flags. A preset that is not a flag, such as a figure's model, is
+    left out, since the subcommand sets it again."""
+    flags = {a.dest for a in subparser._actions} - {"help", "dump_config"}
     return RunConfig(subcommand=args.subcommand,
-                     args={k: str(v) for k, v in payload.items()})
+                     args={k: str(v) for k, v in vars(args).items()
+                           if k in flags and v is not None})
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
 
-def _cmd_simulate(args) -> int:
-    spec = _build_spec(args)
+def _cmd_simulate(args, spec: ModelSpec) -> int:
     if args.n is not None:
         stop = StopRule(tol_prod=0.0, n_max=args.n)
     else:
@@ -324,10 +323,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_kcurve(args) -> int:
+def _cmd_kcurve(args, spec: ModelSpec) -> int:
     """k(s) on one frozen sample; s above s_max is not evaluated (NaN rows
     with n_used 0), since the Monte-Carlo variance is uncontrolled there."""
-    spec = _build_spec(args)
     s_grid = _parse_grid(args.s_grid)
     s_max = spectral.S_MAX_DEFAULT
     capped = [s for s in s_grid if s > s_max]
@@ -357,8 +355,7 @@ def _cmd_kcurve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_lyapunov(args) -> int:
-    spec = _build_spec(args)
+def _cmd_lyapunov(args, spec: ModelSpec) -> int:
     if args.method == "closed":
         method = "closed_form"
         sample = spectral.FirstColumnSample(spec, args.samples, args.seed, args.workers)
@@ -373,8 +370,7 @@ def _cmd_lyapunov(args) -> int:
     return EXIT_OK
 
 
-def _cmd_alpha(args) -> int:
-    spec = _build_spec(args)
+def _cmd_alpha(args, spec: ModelSpec) -> int:
     cols = spectral.FirstColumnSample(spec, args.samples, args.seed, args.workers)
     solve = tailsolver.solve_alpha(cols, s_max=args.s_max)
     print(f"alpha = {solve.alpha:.6g} +- {solve.stderr_alpha:.2g} "
@@ -388,8 +384,7 @@ def _cmd_alpha(args) -> int:
     return EXIT_OK if solve.status is SolveStatus.CONVERGED else EXIT_NUMERICAL
 
 
-def _cmd_alphacurve(args) -> int:
-    spec = _build_spec(args)
+def _cmd_alphacurve(args, spec: ModelSpec) -> int:
     if not args.xi_grid:
         raise ConfigurationError("--xi-grid is required")
     xi_grid = _parse_grid(args.xi_grid)
@@ -409,40 +404,36 @@ def _cmd_alphacurve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_contour(args, param=None, param_grid=None, spec=None, svg_path=None) -> int:
-    spec = spec if spec is not None else _build_spec(args)
-    param = param or args.param
-    if param_grid is None:
-        if not args.param_grid:
-            raise ConfigurationError("--param-grid is required")
-        param_grid = _parse_grid(args.param_grid)
-    grid = tailsolver.contour_grid(spec, param, param_grid, _parse_grid(args.s_grid),
-                                   samples=args.samples, seed=args.seed,
-                                   workers=args.workers, clip_level=args.clip)
+def _cmd_contour(args, spec: ModelSpec) -> int:
+    if not args.param_grid:
+        raise ConfigurationError("--param-grid is required")
+    param = args.param
+    grid = tailsolver.contour_grid(spec, param, _parse_grid(args.param_grid),
+                                   _parse_grid(args.s_grid), samples=args.samples,
+                                   seed=args.seed, workers=args.workers,
+                                   clip_level=args.clip)
     rows = []
     for i, p in enumerate(grid.param_grid):
         for j, s in enumerate(grid.s_grid):
             rows.append([p, s, grid.h[i, j], grid.h_clipped[i, j]])
     _write_csv(args.out, [param, "s", "h", "h_clipped"], rows)
-    svg_path = svg_path or getattr(args, "svg", None)
-    if svg_path:
+    if args.svg:
         svg = svgfig.render_heatmap_svg(
             grid.param_grid, grid.s_grid, grid.h_clipped, grid.isoline,
             param_label=param, s_label="s",
             title=f"h({param}, s), clipped at {args.clip:g}; black: h = 1")
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.svg, "w", encoding="utf-8", newline="") as fh:
             fh.write(svg)
     return EXIT_OK
 
 
-def _cmd_operator(args) -> int:
-    spec = _build_spec(args)
+def _cmd_operator(args, spec: ModelSpec) -> int:
     built = transferop.build_operator(spec, args.s, args.bins, args.samples,
                                       seed=args.seed, workers=args.workers)
     spectrum = transferop.power_iterate(built)
     print(f"leading eigenvalue = {spectrum.leading_eigenvalue:.6g} "
           f"(s = {args.s:g}, bins = {args.bins})")
-    centers = built.bin_centers
+    centers = transferop.bin_centers(args.bins)
     rows = [[centers[i], spectrum.eigenfunction[i], spectrum.eigenmeasure[i]]
             for i in range(args.bins)]
     _write_csv(args.out, ["bin_angle", "eigenfunction", "eigenmeasure"], rows)
@@ -470,8 +461,7 @@ def _stationary_r(spec: ModelSpec, args) -> np.ndarray:
     return batch.r[~dropped]
 
 
-def _cmd_tailfit(args) -> int:
-    spec = _build_spec(args)
+def _cmd_tailfit(args, spec: ModelSpec) -> int:
     fracs = _parse_grid(args.k_fracs)
     if not fracs:
         raise ConfigurationError("--k-fracs is empty")
@@ -488,8 +478,7 @@ def _cmd_tailfit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_angular(args) -> int:
-    spec = _build_spec(args)
+def _cmd_angular(args, spec: ModelSpec) -> int:
     if spec.d != 2:
         raise ConfigurationError("the angular test is specialized to d = 2")
     rep = empirics.angular_exceedance_test(_stationary_r(spec, args),
@@ -508,9 +497,10 @@ def _cmd_angular(args) -> int:
     return EXIT_OK
 
 
-def _cmd_integrability(args) -> int:
-    spec = _build_spec(args)
-    caps = [float(c) for c in args.caps.replace(",", " ").split()]
+def _cmd_integrability(args, spec: ModelSpec) -> int:
+    caps = _parse_grid(args.caps)
+    if not caps:
+        raise ConfigurationError(f"--caps grid {args.caps!r} is empty")
     rep = empirics.integrability_probe(spec, args.target, args.delta,
                                        args.samples, cap_grid=caps,
                                        seed=args.seed, workers=args.workers)
@@ -522,8 +512,7 @@ def _cmd_integrability(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gausscheck(args) -> int:
-    spec = _build_spec(args)
+def _cmd_gausscheck(args, spec: ModelSpec) -> int:
     rows = []
     summary = []
     if args.check in ("chi2", "both"):
@@ -545,11 +534,13 @@ def _cmd_gausscheck(args) -> int:
     return EXIT_OK
 
 
-def _cmd_moments(args) -> int:
-    spec = _build_spec(args)
+def _cmd_moments(args, spec: ModelSpec) -> int:
     if args.alpha is None:
         raise ConfigurationError("--alpha is required (typically from the alpha solver)")
-    n_grid = [int(n) for n in args.n_grid.replace(",", " ").split()]
+    n_grid = _parse_grid(args.n_grid)
+    if any(n != int(n) for n in n_grid):
+        raise ConfigurationError(f"--n-grid {args.n_grid!r} has a non-integer value")
+    n_grid = [int(n) for n in n_grid]
     curve = recursion.moment_growth_curve(spec, args.alpha, n_grid,
                                           args.samples, args.seed, args.workers)
     rows = [[n, est.mean, est.stderr, est.n] for n, est in curve]
@@ -557,8 +548,7 @@ def _cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _cmd_tailbound(args) -> int:
-    spec = _build_spec(args)
+def _cmd_tailbound(args, spec: ModelSpec) -> int:
     if args.alpha is None:
         raise ConfigurationError("--alpha is required")
     if args.t_grid:
@@ -584,16 +574,6 @@ def _cmd_tailbound(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fig(args, param: str, param_grid, spec: ModelSpec) -> int:
-    if args.out is None:
-        args.out = f"fig{'1' if param == 'b' else '2'}.csv"
-    ns = argparse.Namespace(**vars(args))
-    ns.s_grid = "0.25:0.25:10"
-    ns.clip = 2.0
-    return _cmd_contour(ns, param=param, param_grid=param_grid, spec=spec,
-                        svg_path=args.svg)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -606,33 +586,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
-    if getattr(args, "dump_config", None):
+    if args.dump_config:
+        config = run_config_from_args(args, _subparser(parser, args.subcommand))
         with open(args.dump_config, "w", encoding="utf-8") as fh:
-            fh.write(run_config_from_args(args).to_text())
-    handlers = {
-        "simulate": _cmd_simulate,
-        "kcurve": _cmd_kcurve,
-        "lyapunov": _cmd_lyapunov,
-        "alpha": _cmd_alpha,
-        "alphacurve": _cmd_alphacurve,
-        "contour": _cmd_contour,
-        "operator": _cmd_operator,
-        "tailfit": _cmd_tailfit,
-        "angular": _cmd_angular,
-        "integrability": _cmd_integrability,
-        "gausscheck": _cmd_gausscheck,
-        "moments": _cmd_moments,
-        "tailbound": _cmd_tailbound,
-    }
+            fh.write(config.to_text())
     try:
-        if args.subcommand == "reproduce-fig1":
-            spec = ModelSpec(Variant.RANK1_GAUSS, d=2, b=1, eta=0.75)
-            return _cmd_fig(args, "b", list(range(1, 13)), spec)
-        if args.subcommand == "reproduce-fig2":
-            spec = ModelSpec(Variant.RANK1_GAUSS, d=2, b=5, eta=0.75)
-            return _cmd_fig(args, "eta", _parse_grid("0.05:0.05:1.5"), spec)
-        return handlers[args.subcommand](args)
-    except empirics.EstimationError as exc:
+        return args.handler(args, _build_spec(args))
+    except (empirics.EstimationError, transferop.PowerIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigurationError, ValueError) as exc:

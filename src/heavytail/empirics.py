@@ -20,7 +20,7 @@ from scipy import special, stats
 
 from . import mc
 from .linalg import row_norms
-from .models import ModelSpec, Variant, iter_h_blocks, pair_a
+from .models import ModelSpec, gaussian_rank1, iter_h_blocks, pair_a
 
 DEFAULT_TEST_LEVEL = 0.01
 
@@ -73,7 +73,11 @@ def hill_estimate(samples: np.ndarray, k_order: int) -> TailFit:
         raise EstimationError("zero log-spacing in the top order statistics")
     alpha = 1.0 / mean_log
     half = 1.96 / np.sqrt(k_order)
-    amplitude = (k_order / n) * top[0] ** alpha
+    with np.errstate(over="ignore"):
+        amplitude = (k_order / n) * top[0] ** alpha
+        if not np.isfinite(amplitude):
+            # in logs: finite wherever the amplitude itself is representable
+            amplitude = np.exp(np.log(k_order / n) + alpha * np.log(top[0]))
     return TailFit(alpha_hat=float(alpha), k_order=int(k_order),
                    ci=(float(alpha * (1 - half)), float(alpha * (1 + half))),
                    amplitude=float(amplitude), n=int(n))
@@ -204,7 +208,7 @@ def integrability_probe(spec: ModelSpec, target: IntegrabilityTarget, delta: flo
         raise ValueError(f"off-diagonal ladder needs 0 < delta < 1, got {delta}")
     if target is IntegrabilityTarget.OFF_DIAGONAL and spec.d < 2:
         raise ValueError("off-diagonal ladder needs d >= 2")
-    if (spec.variant is Variant.RANK1_GAUSS and spec.b <= spec.d + 1
+    if (gaussian_rank1(spec) and spec.b <= spec.d + 1
             and target is not IntegrabilityTarget.OFF_DIAGONAL):
         warnings.warn("the Gaussian rank-one H has a decaying matrix density "
                       "only for b > d + 1; this probe is outside that regime",
@@ -250,8 +254,9 @@ def chi2_diagonal_check(spec: ModelSpec, samples: int, seed: int = 0,
     The diagonals of the summed rank-one Gaussian matrix are i.i.d.
     chi-square(b) (mean b, variance 2b).
     """
-    if spec.variant is not Variant.RANK1_GAUSS:
-        raise ValueError("the chi-square diagonal law holds for rank1gauss only")
+    if not gaussian_rank1(spec):
+        raise ValueError("the chi-square diagonal law holds for the Gaussian "
+                         "rank-one law (rank1gauss) only")
 
     def task(rng, m):
         # a copy per block: a view would keep every H block alive until the end

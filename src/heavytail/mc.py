@@ -38,23 +38,18 @@ Seed = int | tuple[int, ...]
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte-Carlo mean with provenance.
+    """Monte-Carlo mean and its standard error.
 
-    ``n + skipped`` equals the requested draw count; skipped draws carry
-    reason tags. ``stderr`` is the sample standard deviation over sqrt(n)
-    (0 for exact, zero-variance or single-draw estimates).
+    ``n + skipped`` equals the requested draw count. ``stderr`` is the sample
+    standard deviation over sqrt(n): 0 for an exact (enumerated) estimate,
+    NaN for a Monte-Carlo estimate from fewer than two draws, which gives no
+    spread to measure.
     """
 
     mean: float
     stderr: float
     n: int
     skipped: int = 0
-    seed: Seed | None = None
-    workers: int = 1
-    skip_reasons: tuple[tuple[str, int], ...] = ()
-
-    def combined_stderr(self, other: "McEstimate") -> float:
-        return float(np.hypot(self.stderr, other.stderr))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -113,12 +108,7 @@ def parallel_map(
     return np.concatenate(parts, axis=0)
 
 
-def estimate_from_values(
-    values: np.ndarray,
-    seed: Seed | None = None,
-    workers: int = 1,
-    skip_tag: str = "non-finite",
-) -> McEstimate:
+def estimate_from_values(values: np.ndarray) -> McEstimate:
     """Mean/stderr of a value array; non-finite entries counted as skipped."""
     values = np.asarray(values, dtype=float).ravel()
     finite = np.isfinite(values)
@@ -126,12 +116,9 @@ def estimate_from_values(
     kept = values[finite] if skipped else values
     n = int(kept.size)
     if n == 0:
-        return McEstimate(np.nan, np.nan, 0, skipped, seed, workers,
-                          ((skip_tag, skipped),) if skipped else ())
-    mean = float(kept.mean())
-    stderr = float(kept.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    reasons = ((skip_tag, skipped),) if skipped else ()
-    return McEstimate(mean, stderr, n, skipped, seed, workers, reasons)
+        return McEstimate(np.nan, np.nan, 0, skipped)
+    stderr = float(kept.std(ddof=1) / np.sqrt(n)) if n > 1 else np.nan
+    return McEstimate(float(kept.mean()), stderr, n, skipped)
 
 
 def parallel_tasks(fn, count: int, workers: int | None = None) -> list:

@@ -9,8 +9,9 @@ d x d matrix and xi = eta/b:
                   default, or finite mixture).
 * ``rank1``:      H = sum of b rank-one projections a_i a_i^T,
                   B = xi * sum_i y_i a_i, with configurable (a, y) laws.
-* ``rank1gauss``: rank1 with a_i ~ N(0, I_d) independent of y_i ~ N(0, 1);
-                  no law parameters are accepted.
+* ``rank1gauss``: a name for rank1 with its default laws, a_i ~ N(0, I_d)
+                  independent of y_i ~ N(0, 1) (the paper's Gaussian model);
+                  it takes no law parameters.
 
 Scaling convention used everywhere in this package: ``H`` is the *summed*
 matrix (no eta/b factor) and xi carries the eta/b factor, so
@@ -40,7 +41,6 @@ import numpy as np
 class Variant(str, Enum):
     SYMM = "symm"
     RANK1 = "rank1"
-    RANK1_GAUSS = "rank1gauss"
 
 
 class ConfigurationError(ValueError):
@@ -265,10 +265,7 @@ class ModelSpec:
             raise ConfigurationError(f"need a finite eta > 0, got {self.eta}")
         v = Variant(self.variant)
         object.__setattr__(self, "variant", v)
-        if v is Variant.RANK1_GAUSS:
-            if any(x is not None for x in (self.h_law, self.b_law, self.a_law, self.y_law)):
-                raise ConfigurationError("rank1gauss takes no law parameters")
-        elif v is Variant.RANK1:
+        if v is Variant.RANK1:
             if self.h_law is not None or self.b_law is not None:
                 raise ConfigurationError("rank1 uses a_law/y_law, not h_law/b_law")
             if self.a_law is None:
@@ -294,10 +291,11 @@ class ModelSpec:
     @property
     def rotation_invariant(self) -> bool:
         """Whether the law of H is invariant under orthogonal conjugation."""
-        if self.d == 1 or self.variant is Variant.RANK1_GAUSS:
-            # d = 1: conjugation by O(1) = {1, -1} fixes every 1 x 1 matrix
+        if self.d == 1:
+            # conjugation by O(1) = {1, -1} fixes every 1 x 1 matrix
             return True
         if self.variant is Variant.RANK1:
+            # H = sum a_i a_i^T does not depend on the y-law
             return isinstance(self.a_law, GaussianVectorLaw)
         return bool(getattr(self.h_law, "rotation_invariant", False))
 
@@ -307,7 +305,8 @@ class ModelSpec:
 
 
 def rank1_gauss(d: int, b: int, eta: float) -> ModelSpec:
-    return ModelSpec(Variant.RANK1_GAUSS, d=d, b=b, eta=eta)
+    """The Gaussian rank-one model: rank1 with its default laws."""
+    return ModelSpec(Variant.RANK1, d=d, b=b, eta=eta)
 
 
 def symm(d: int, b: int, eta: float, h_law, b_law=None) -> ModelSpec:
@@ -318,12 +317,11 @@ def symm(d: int, b: int, eta: float, h_law, b_law=None) -> ModelSpec:
 # Sampling
 
 
-def _bartlett(spec: ModelSpec) -> bool:
-    """Whether spec's rank-one draws come from a Bartlett factor: Gaussian
-    a- and y-laws."""
-    return spec.variant is Variant.RANK1_GAUSS or (
-        isinstance(spec.a_law, GaussianVectorLaw)
-        and isinstance(spec.y_law, GaussianScalarLaw))
+def gaussian_rank1(spec: ModelSpec) -> bool:
+    """Whether spec is the Gaussian rank-one law (``rank1gauss``): rank1 with
+    Gaussian a- and y-laws, whose draws come from a Bartlett factor."""
+    return (isinstance(spec.a_law, GaussianVectorLaw)
+            and isinstance(spec.y_law, GaussianScalarLaw))
 
 
 def independent_gaussian_b(spec: ModelSpec) -> bool:
@@ -396,7 +394,7 @@ def _draw(spec: ModelSpec, n: int, rng: np.random.Generator,
     """n draws of (H, B), with B None and undrawn unless ``with_b``.
 
     Draw order per batch: symm draws all H's, then all B's. A Bartlett law
-    (``_bartlett``) draws its factor L column by column, then z ~
+    (``gaussian_rank1``) draws its factor L column by column, then z ~
     N(0, I_min(b, d)), and returns (L L^T, xi L z): H is Wishart_d(b, I) and
     B | H is N(0, xi^2 H), the joint law of the sums over a_i ~ N(0, I_d)
     and y_i ~ N(0, 1) (Bartlett 1933; Odell & Feiveson 1966), from at most
@@ -407,7 +405,7 @@ def _draw(spec: ModelSpec, n: int, rng: np.random.Generator,
     if spec.variant is Variant.SYMM:
         h = spec.h_law.sample_sum(n, spec.b, rng)
         return h, spec.b_law.sample(n, rng) if with_b else None
-    if _bartlett(spec):
+    if gaussian_rank1(spec):
         low = _bartlett_factor(spec, n, rng)
         bvec = None
         if with_b:
@@ -461,7 +459,7 @@ def sample_h_columns(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.nd
     c ~ chi^2_b and g ~ N(0, I_{d-1}). Other laws take the column of H
     blockwise.
     """
-    if _bartlett(spec):
+    if gaussian_rank1(spec):
         first = _bartlett_column(spec, 0, n, rng)
         return _stack_columns([first[0] * v for v in first])
     # a copy per block: a view would keep every H block alive until the end
@@ -575,12 +573,16 @@ def spec_from_law_text(text: str, overrides: dict | None = None) -> ModelSpec:
     if overrides:
         model.update({k: str(v) for k, v in overrides.items() if v is not None})
     try:
-        variant = Variant(model["variant"].strip().lower())
+        name = model["variant"].strip().lower()
         d = int(model["d"])
         b = int(model["b"])
         eta = float(model["eta"])
     except KeyError as exc:
         raise ConfigurationError(f"[model] is missing key {exc}") from exc
+    # rank1gauss is rank1 with its default laws, so it takes no law section
+    variant = Variant.RANK1 if name == "rank1gauss" else Variant(name)
+    if name == "rank1gauss" and ("a_law" in cp or "y_law" in cp):
+        raise ConfigurationError("rank1gauss takes no [a_law] or [y_law] section")
     kwargs = {}
     if variant is Variant.SYMM:
         if "h_law" not in cp:

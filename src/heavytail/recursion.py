@@ -533,9 +533,7 @@ def moment_growth_curve(spec: ModelSpec, alpha: float, n_grid: list[int],
         return np.multiply(norms, paths.weights, out=norms)
 
     values = mc.parallel_map(task, samples, seed, workers)
-    workers_used = mc.resolve_workers(workers)
-    return [(n, mc.estimate_from_values(values[:, j], seed=seed, workers=workers_used))
-            for j, n in enumerate(n_grid)]
+    return [(n, mc.estimate_from_values(values[:, j])) for j, n in enumerate(n_grid)]
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ class FirstColumnSample:
                 "this model it is the value along one direction only, which "
                 "can lie above or below k(s)", RuntimeWarning, stacklevel=2)
         self.spec = spec
-        self.seed = seed
         self.workers = mc.resolve_workers(workers)
         u = np.eye(spec.d)[0] if direction is None else np.asarray(direction, dtype=float)
         self.u = u / np.linalg.norm(u)
@@ -124,11 +123,9 @@ class FirstColumnSample:
                 mean = float(values[keep] @ w / w.sum()) if w.sum() > 0 else np.nan
             else:
                 mean = float(values @ self.weights)
-            est = mc.McEstimate(mean, 0.0, self.n - skipped, skipped, self.seed,
-                                self.workers, ((tag, skipped),) if skipped else ())
+            est = mc.McEstimate(mean, 0.0, self.n - skipped, skipped)
         else:
-            est = mc.estimate_from_values(values, seed=self.seed, workers=self.workers,
-                                          skip_tag=tag)
+            est = mc.estimate_from_values(values)
         if est.skipped:
             warnings.warn(f"{est.skipped} draws excluded ({tag})", RuntimeWarning,
                           stacklevel=3)
@@ -139,7 +136,7 @@ class FirstColumnSample:
             raise ValueError(f"s must be >= 0, got {s}")
         xi = self.spec.xi if xi is None else xi
         if s == 0:
-            return mc.McEstimate(1.0, 0.0, self.n, 0, self.seed, self.workers)
+            return mc.McEstimate(1.0, 0.0, self.n)
         with np.errstate(over="ignore"):
             return self._moment(self.v(xi) ** s, "overflow")
 
@@ -211,19 +208,18 @@ class ProductSample:
                  workers: int | None = None):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        self.n, self.m, self.seed = n, n // 2, seed
-        self.workers = mc.resolve_workers(workers)
+        self.n, self.m = n, n // 2
 
         def task(rng, draws):
             return product_log_norms(spec, n, draws, rng)
 
-        logs = mc.parallel_map(task, samples, seed, self.workers).reshape(-1, 2)
+        logs = mc.parallel_map(task, samples, seed, workers).reshape(-1, 2)
         self.log_m = np.ascontiguousarray(logs[:, 0])
         self.log_n = np.ascontiguousarray(logs[:, 1])
         self.draws = len(self.log_n)
 
     def _estimate(self, mean: float, stderr: float) -> mc.McEstimate:
-        return mc.McEstimate(mean, stderr, self.draws, 0, self.seed, self.workers)
+        return mc.McEstimate(mean, stderr, self.draws)
 
     def k(self, s: float) -> mc.McEstimate:
         """(E ||Pi_n||^s)^(1/n); the stderr is the delta method on the mean."""
@@ -234,7 +230,7 @@ class ProductSample:
         log_mean, x = _log_mean_exp(s * self.log_n)
         k_hat = float(np.exp(log_mean / self.n))
         # delta method: k = (E X)^(1/n) with relative error of the mean / n
-        rel_se = x.std(ddof=1) / np.sqrt(len(x)) / x.mean() if len(x) > 1 else 0.0
+        rel_se = x.std(ddof=1) / np.sqrt(len(x)) / x.mean() if len(x) > 1 else np.nan
         return self._estimate(k_hat, float(k_hat * rel_se / self.n))
 
     def ratio(self, s: float) -> mc.McEstimate:
@@ -252,13 +248,12 @@ class ProductSample:
         steps = self.n - self.m
         r_hat = float(np.exp((log_mean_n - log_mean_m) / steps))
         z = x / x.mean() - y / y.mean()
-        rel_se = z.std(ddof=1) / np.sqrt(len(z)) if len(z) > 1 else 0.0
+        rel_se = z.std(ddof=1) / np.sqrt(len(z)) if len(z) > 1 else np.nan
         return self._estimate(r_hat, float(r_hat * rel_se / steps))
 
     def gamma(self) -> mc.McEstimate:
         """Mean of log ||Pi_n|| / n over the draws."""
-        return mc.estimate_from_values(self.log_n / self.n, seed=self.seed,
-                                       workers=self.workers)
+        return mc.estimate_from_values(self.log_n / self.n)
 
 
 # ---------------------------------------------------------------------------

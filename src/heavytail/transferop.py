@@ -47,10 +47,6 @@ class DiscretizedOperator:
     build_samples: int
     skipped: int = 0  # draws with |A x_j| = 0, excluded
 
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return (np.arange(self.n_bins) + 0.5) * (2 * np.pi / self.n_bins)
-
 
 @dataclass(frozen=True)
 class OperatorSpectrum:
@@ -64,6 +60,11 @@ class OperatorSpectrum:
     eigenfunction: np.ndarray
     eigenmeasure: np.ndarray
     iterations: int
+
+
+def bin_centers(n_bins: int) -> np.ndarray:
+    """The angles of the centres of the n_bins equal arcs."""
+    return (np.arange(n_bins) + 0.5) * (2 * np.pi / n_bins)
 
 
 def _bin_index(angles: np.ndarray, n_bins: int) -> np.ndarray:
@@ -83,9 +84,7 @@ def build_operator(spec: ModelSpec, s: float, n_bins: int, samples: int,
         raise ValueError(f"the circle discretization needs d = 2 models, got d={spec.d}")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    workers_used = mc.resolve_workers(workers)
-    delta = 2 * np.pi / n_bins
-    centers = (np.arange(n_bins) + 0.5) * delta
+    centers = bin_centers(n_bins)
     matrix = np.zeros((n_bins, n_bins))
     xi = spec.xi
 
@@ -106,7 +105,7 @@ def build_operator(spec: ModelSpec, s: float, n_bins: int, samples: int,
         # requested draw count so the column estimates the full expectation
         return col / samples, col_skipped
 
-    results = mc.parallel_tasks(build_column, n_bins, workers_used)
+    results = mc.parallel_tasks(build_column, n_bins, workers)
     skipped = 0
     for j, (col, col_skipped) in enumerate(results):
         matrix[:, j] = col
@@ -161,9 +160,7 @@ def eigenfunction_representation_check(spectrum: OperatorSpectrum,
     measure. The proportionality constant c is fitted by least squares;
     returns (max relative deviation, fitted c).
     """
-    n = len(spectrum.eigenfunction)
-    delta = 2 * np.pi / n
-    centers = (np.arange(n) + 0.5) * delta
+    centers = bin_centers(len(spectrum.eigenfunction))
     x = np.stack([np.cos(centers), np.sin(centers)], axis=1)
     inner = np.abs(x @ x.T) ** s
     g = inner @ spectrum.eigenmeasure

@@ -172,6 +172,9 @@ def test_unknown_subcommand_exits_2():
      "--clip", "0"],
     ["contour", "--model", "rank1gauss", "--eta", "0.5", "--param-grid", "1",
      "--clip", "-1"],
+    ["operator", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--s", "nan"],
+    ["operator", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--s", "inf"],
+    ["operator", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--s", "-1"],
 ])
 def test_non_positive_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -184,6 +187,11 @@ def test_non_positive_counts_exit_2(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["kcurve", "--model", "rank1gauss", "--eta", "0.5", "--s-grid", "nan,1"],
     ["alphacurve", "--model", "rank1gauss", "--eta", "0.5", "--xi-grid", "0.1,inf"],
+    ["moments", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "1",
+     "--n-grid", "5,1.5"],
+    ["integrability", "--model", "rank1gauss", "--eta", "0.5", "--caps", ""],
+    ["integrability", "--model", "rank1gauss", "--eta", "0.5", "--caps", "nan"],
+    ["integrability", "--model", "rank1gauss", "--eta", "0.5", "--caps", "10,inf"],
 ])
 def test_non_finite_grid_value_exits_2(argv, capsys):
     assert run_cli(argv + ["--samples", "10"]) == EXIT_CONFIG
@@ -407,6 +415,57 @@ def test_fuzzed_angular_flags_exit_cleanly(fuzz_out, d, eta, samples, quantile, 
                          f"--eta={eta}", f"--samples={samples}",
                          f"--threshold-quantile={quantile}", f"--level={level}",
                          f"--out={fuzz_out}"])
+
+
+def _d2_model_flags(fuzz_models):
+    """_model_flags with --d 2 in three draws of four: operator runs on
+    d = 2 only."""
+    return st.tuples(_model_flags(fuzz_models), _mostly(st.just("2"), _DIM)).map(
+        lambda t: [*t[0], f"--d={t[1]}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), s=_REAL, bins=_COUNT, samples=_COUNT)
+def test_fuzzed_operator_flags_exit_cleanly(fuzz_models, fuzz_out, data, s, bins,
+                                            samples):
+    _fuzz_exits_cleanly(["operator", *data.draw(_d2_model_flags(fuzz_models)),
+                         f"--s={s}", f"--bins={bins}", f"--samples={samples}",
+                         f"--out={fuzz_out}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), target=st.sampled_from(["det_a", "inv_norm_a", "off_diagonal"]),
+       delta=_REAL, caps=_GRID, samples=_COUNT)
+def test_fuzzed_integrability_flags_exit_cleanly(fuzz_models, fuzz_out, data, target,
+                                                 delta, caps, samples):
+    _fuzz_exits_cleanly(["integrability", *data.draw(_model_flags(fuzz_models)),
+                         f"--target={target}", f"--delta={delta}", f"--caps={caps}",
+                         f"--samples={samples}", f"--out={fuzz_out}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), check=st.sampled_from(["chi2", "stam", "both"]), samples=_COUNT)
+def test_fuzzed_gausscheck_flags_exit_cleanly(fuzz_models, fuzz_out, data, check,
+                                              samples):
+    _fuzz_exits_cleanly(["gausscheck", *data.draw(_model_flags(fuzz_models)),
+                         f"--check={check}", f"--samples={samples}",
+                         f"--out={fuzz_out}"])
+
+
+# Seeds: any non-negative 64-bit value, or a negative or non-integer one.
+_SEED = _mostly(st.integers(0, 2 ** 64 - 1).map(str),
+                st.one_of(st.integers(-3, -1).map(str), _JUNK))
+# At most two workers, or an invalid count.
+_WORKERS = _mostly(st.integers(1, 2).map(str),
+                   st.one_of(st.integers(-3, 0).map(str), _JUNK))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fig=st.sampled_from(["1", "2"]), samples=_COUNT, seed=_SEED, workers=_WORKERS)
+def test_fuzzed_figure_flags_exit_cleanly(fuzz_out, fig, samples, seed, workers):
+    _fuzz_exits_cleanly([f"reproduce-fig{fig}", f"--samples={samples}", f"--seed={seed}",
+                         f"--workers={workers}", f"--out={fuzz_out}",
+                         f"--svg={fuzz_out.with_suffix('.svg')}"])
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.5", "x"])
@@ -846,3 +905,71 @@ def test_dump_config_round_trips_a_run(tmp_path):
     cfg = RunConfig.load(str(cfg_path))
     assert cfg.subcommand == "kcurve"
     assert RunConfig.from_text(cfg.to_text()) == cfg
+
+
+def test_operator_that_collapses_exits_3(capsys):
+    # A = I - H = 0: every draw has |A x| = 0, so the operator is zero
+    code, err = _exit_code(["operator", "--model", "symm-det-identity", "--d", "2",
+                            "--b", "1", "--eta", "1", "--bins", "8", "--samples", "10"])
+    assert code == EXIT_NUMERICAL
+    assert "collapsed" in err and "Traceback" not in err
+
+
+# rank1gauss is rank1 with its default laws: each command writes the same
+# CSV and standard output for either name, and for a rank1gauss law file.
+RANK1_COMMANDS = {
+    "gausscheck": ["gausscheck", "--samples", "2000"],
+    "integrability": ["integrability", "--samples", "2000"],
+    "alpha": ["alpha", "--samples", "2000"],
+    "simulate": ["simulate", "--samples", "100"],
+    "operator": ["operator", "--bins", "8", "--samples", "50"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(RANK1_COMMANDS))
+def test_rank1_is_rank1gauss_with_its_default_laws(cmd, tmp_path, capsys):
+    law = tmp_path / "gauss.law"
+    law.write_text("[model]\nvariant = rank1gauss\nd = 2\nb = 8\neta = 1.5\n")
+    model = ["--d", "2", "--b", "8", "--eta", "1.5"]
+    runs = []
+    for name, flags in (("rank1gauss", ["--model", "rank1gauss", *model]),
+                        ("rank1", ["--model", "rank1", *model]),
+                        ("law", ["--law-file", law])):
+        out = tmp_path / f"{name}.csv"
+        assert run_cli([*RANK1_COMMANDS[cmd], *flags, "--seed", "3", "--out", out]) \
+            == EXIT_OK
+        runs.append((out.read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_rank1_integrability_warns_outside_the_density_regime(tmp_path):
+    with pytest.warns(RuntimeWarning, match="b > d \\+ 1"):
+        assert run_cli(["integrability", "--model", "rank1", "--d", "2", "--b", "2",
+                        "--eta", "0.3", "--samples", "100",
+                        "--out", tmp_path / "i.csv"]) == EXIT_OK
+
+
+def test_rank1gauss_law_file_with_a_law_section_exits_2(tmp_path, capsys):
+    # it used to exit 0 and ignore the section
+    law = tmp_path / "gauss.law"
+    law.write_text("[model]\nvariant = rank1gauss\nd = 2\nb = 8\neta = 1.5\n\n[a_law]\n"
+                   "kind = mixture\nvectors = [1.0, 0.0] ; [0.0, 1.0]\nprobs = 0.5, 0.5\n")
+    assert run_cli(["alpha", "--law-file", law, "--samples", "10"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "rank1gauss takes no" in err and "Traceback" not in err
+
+
+def test_dump_config_of_a_figure_replays(tmp_path):
+    cfg_path = tmp_path / "fig1.cfg"
+    first = [tmp_path / "a.csv", tmp_path / "a.svg"]
+    assert run_cli(["reproduce-fig1", "--samples", "300", "--seed", "2",
+                    "--out", first[0], "--svg", first[1],
+                    "--dump-config", cfg_path]) == EXIT_OK
+    # the presets are not flags of reproduce-fig1, so they are not dumped
+    cfg = RunConfig.load(str(cfg_path))
+    assert cfg.subcommand == "reproduce-fig1"
+    assert sorted(cfg.args) == ["out", "samples", "seed", "svg"]
+    again = [tmp_path / "b.csv", tmp_path / "b.svg"]
+    assert run_cli(["--config", cfg_path, "--out", again[0],
+                    "--svg", again[1]]) == EXIT_OK
+    assert [p.read_bytes() for p in first] == [p.read_bytes() for p in again]

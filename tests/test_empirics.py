@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -182,3 +184,24 @@ def test_stam_merged_bins_conserve_mass():
           for s in range(21, 31)]
     # calibrated under the null: not systematically tiny
     assert np.median(ps) > 0.05
+
+
+def test_hill_amplitude_in_logs_where_the_power_overflows():
+    # top order statistics near 1e200 with alpha_hat = 1.545: top[0] ** alpha
+    # is about 1e309 and overflows, while the amplitude (k / n) * top[0] **
+    # alpha, about 1e307, is representable
+    k, n, alpha = 10, 1000, 1.545
+    spacings = (2 / alpha) * np.arange(1, k + 1) / (k + 1)   # mean 1 / alpha
+    top = 1e200 * np.exp(np.concatenate([[0.0], spacings]))
+    x = np.concatenate([np.geomspace(1.0, 1e199, n - k - 1), top])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = hill_estimate(x, k)
+    assert fit.alpha_hat == pytest.approx(alpha, rel=1e-12)
+    want = np.exp(np.log(k / n) + fit.alpha_hat * np.log(1e200))
+    assert np.isfinite(fit.amplitude) and fit.amplitude == pytest.approx(want, rel=1e-12)
+    assert fit.amplitude == pytest.approx(1e307, rel=1e-9)
+    # a finite amplitude keeps the bits of the plain product
+    small = x / 1e190
+    fit = hill_estimate(small, k)
+    assert fit.amplitude == (k / n) * np.sort(small)[n - k - 1] ** fit.alpha_hat

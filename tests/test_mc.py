@@ -20,10 +20,8 @@ def test_uniform_mean_lln():
 
 def test_determinism_same_seed_workers():
     task = lambda rng, n: rng.standard_normal(n)
-    a = mc.estimate_from_values(mc.parallel_map(task, 100_000, seed=42, workers=4),
-                                seed=42, workers=4)
-    b = mc.estimate_from_values(mc.parallel_map(task, 100_000, seed=42, workers=4),
-                                seed=42, workers=4)
+    a = mc.estimate_from_values(mc.parallel_map(task, 100_000, seed=42, workers=4))
+    b = mc.estimate_from_values(mc.parallel_map(task, 100_000, seed=42, workers=4))
     assert a == b  # bitwise-identical estimate
 
 
@@ -32,7 +30,7 @@ def test_worker_count_changes_partition_but_not_expectation():
     a = mc.estimate_from_values(mc.parallel_map(task, 200_000, seed=5, workers=1))
     b = mc.estimate_from_values(mc.parallel_map(task, 200_000, seed=5, workers=8))
     assert a.mean != b.mean  # different stream partitioning, documented
-    assert abs(a.mean - b.mean) < 4 * a.combined_stderr(b)
+    assert abs(a.mean - b.mean) < 4 * np.hypot(a.stderr, b.stderr)
 
 
 def test_nan_draws_become_skips():
@@ -44,7 +42,6 @@ def test_nan_draws_become_skips():
     est = mc.estimate_from_values(mc.parallel_map(task, 1000, seed=3))
     assert est.skipped == 100
     assert est.n == 900
-    assert est.skip_reasons == (("non-finite", 100),)
 
 
 def test_chunk_sizes_cover_all_draws():

@@ -35,12 +35,19 @@ def test_xi_is_derived():
 ])
 def test_invalid_dimensions_rejected(kwargs):
     with pytest.raises(ConfigurationError):
-        ModelSpec(Variant.RANK1_GAUSS, **kwargs)
+        ModelSpec(Variant.RANK1, **kwargs)
 
 
 def test_rank1gauss_rejects_law_parameters():
     with pytest.raises(ConfigurationError):
-        ModelSpec(Variant.RANK1_GAUSS, d=1, b=1, eta=0.1, h_law=GoeLaw(1))
+        ModelSpec(Variant.RANK1, d=1, b=1, eta=0.1, h_law=GoeLaw(1))
+    # a rank1gauss law file is rank1 with its default laws: no law section
+    text = "[model]\nvariant = rank1gauss\nd = 2\nb = 2\neta = 0.5\n"
+    assert spec_from_law_text(text) == rank1_gauss(2, 2, 0.5)
+    for section in ("[a_law]\nkind = gaussian\n",
+                    "[y_law]\nkind = mixture\nvalues = 1.0\nprobs = 1.0\n"):
+        with pytest.raises(ConfigurationError, match="rank1gauss"):
+            spec_from_law_text(text + "\n" + section)
 
 
 def test_construction_identity_rank1gauss():
@@ -226,9 +233,10 @@ def test_rank1_mixture_laws_from_file():
 
 
 def test_rank1_default_laws_match_gauss_variant():
-    # rank1 with no laws configured draws the same stream as rank1gauss
+    # rank1 with no laws configured is rank1gauss, and draws its stream
     a = ModelSpec(Variant.RANK1, d=2, b=3, eta=0.4)
     g = rank1_gauss(d=2, b=3, eta=0.4)
+    assert a == g and models.gaussian_rank1(g) and len(Variant) == 2
     ha, ba = sample_pairs(a, 20, mc.substream(12))
     hg, bg = sample_pairs(g, 20, mc.substream(12))
     assert np.array_equal(ha, hg) and np.array_equal(ba, bg)
@@ -253,11 +261,11 @@ def test_bartlett_pairs_exact_moments(d, b):
 @pytest.mark.parametrize("d, b", [(2, 2), (2, 8), (3, 2)])
 def test_bartlett_pairs_match_a_draw_law(d, b, monkeypatch):
     # two-sample KS of H_11, H_12, H_22 and B_1 against the a-draw path,
-    # which draws rank1's Gaussian a- and y-laws once _bartlett is off
+    # which draws rank1's Gaussian a- and y-laws once gaussian_rank1 is off
     spec = rank1_gauss(d=d, b=b, eta=0.6)
     n = 20_000
     h, bvec = sample_pairs(spec, n, mc.substream(40 + b))
-    monkeypatch.setattr(models, "_bartlett", lambda spec: False)
+    monkeypatch.setattr(models, "gaussian_rank1", lambda spec: False)
     h_a, bvec_a = sample_pairs(ModelSpec(Variant.RANK1, d, b, 0.6), n,
                                mc.substream(50 + b))
     for x, y in [(h[:, 0, 0], h_a[:, 0, 0]), (h[:, 0, 1], h_a[:, 0, 1]),

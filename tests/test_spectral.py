@@ -88,7 +88,7 @@ def test_closed_form_direction_invariance():
     e1 = FirstColumnSample(spec, 200_000, seed=5).h(1.5)
     u = np.array([1.0, -2.0, 0.5])
     eu = FirstColumnSample(spec, 200_000, seed=6, direction=u).h(1.5)
-    assert abs(e1.mean - eu.mean) < 4 * e1.combined_stderr(eu)
+    assert abs(e1.mean - eu.mean) < 4 * np.hypot(e1.stderr, eu.stderr)
 
 
 def test_log_convexity_on_common_stream():
@@ -406,3 +406,15 @@ def test_v_concurrent_distinct_xi_from_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(cols._v_cache) <= cols.workers
+
+
+def test_one_draw_monte_carlo_estimates_have_nan_stderr():
+    # one draw has no spread: a Monte-Carlo stderr is NaN, never 0, so no
+    # 3-sigma gate passes on it; an enumerated estimate stays exact
+    assert np.isnan(mc.estimate_from_values(np.array([2.0])).stderr)
+    cols = FirstColumnSample(rank1_gauss(2, 8, 1.5), 1, seed=0)
+    assert all(np.isnan(e.stderr) for e in (cols.h(1.0), cols.gamma(), cols.mean_h11()))
+    prod = ProductSample(rank1_gauss(2, 8, 0.3), 4, 1, seed=0)
+    assert all(np.isnan(e.stderr) for e in (prod.k(1.0), prod.ratio(1.0), prod.gamma()))
+    exact = FirstColumnSample(symm(1, 1, 0.5, DeterministicLaw(np.eye(1))), 1, seed=0)
+    assert exact.h(1.0).stderr == 0.0

@@ -134,9 +134,9 @@ def test_alpha_curve_shares_one_sample_outside_and_one_inside_window(monkeypatch
     built = []
 
     class Recorded(FirstColumnSample):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append((self.n, self.seed))
+        def __init__(self, spec, samples, seed, *args, **kwargs):
+            super().__init__(spec, samples, seed, *args, **kwargs)
+            built.append((self.n, seed))
 
     monkeypatch.setattr(tailsolver, "FirstColumnSample", Recorded)
     spec = rank1_gauss(d=2, b=8, eta=1.5)
@@ -385,3 +385,10 @@ def test_small_root_bracketed_below_first_grid_step():
     assert 0 < solve.alpha < 0.25
     h = lambda s: 0.995 * 0.5 ** s + 0.005 * (1e8 - 1) ** s
     assert abs(h(solve.alpha) - 1.0) <= 1e-3
+
+
+def test_xi1_precondition_does_not_pass_on_one_draw():
+    # one draw gives a NaN stderr, so E<H e_1, e_1> is never positive beyond
+    # 3 standard errors on it
+    with pytest.raises(RangeError, match="beyond 3 standard errors"):
+        solve_xi1(FirstColumnSample(rank1_gauss(2, 8, 1.5), 1, seed=0))
