@@ -2,9 +2,8 @@
 with A = I - xi*H, the coefficient structure of SGD on quadratic losses."""
 
 from .mc import McEstimate, parallel_map, resolve_workers, substream
-from .models import (ConfigurationError, DeterministicLaw, GaussianVectorLaw,
-                     GoeLaw, MatrixMixtureLaw, ModelSpec, ScalarMixtureLaw,
-                     Variant, VectorMixtureLaw, load_law_file, rank1_gauss,
+from .models import (ConfigurationError, GaussianVectorLaw, GoeLaw, MixtureLaw,
+                     ModelSpec, Variant, load_law_file, rank1_gauss,
                      sample_pairs, symm)
 from .recursion import (ProductState, StationaryBatch, StopRule, StopStatus,
                         finite_iteration_tail, moment_growth_curve,

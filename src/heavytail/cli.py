@@ -20,8 +20,8 @@ import numpy as np
 from . import empirics, mc, recursion, spectral, svgfig, tailsolver, transferop
 from .config import RunConfig
 from .linalg import row_norms
-from .models import (ConfigurationError, DeterministicLaw, GoeLaw, ModelSpec,
-                     Variant, load_law_file)
+from .models import (ConfigurationError, GoeLaw, MixtureLaw, ModelSpec, Variant,
+                     load_law_file)
 from .recursion import StopRule
 from .tailsolver import SolveStatus
 
@@ -126,8 +126,7 @@ def _build_spec(args) -> ModelSpec:
     if model == "symm-goe":
         return ModelSpec(Variant.SYMM, d=d, b=b, eta=eta, h_law=GoeLaw(d))
     if model == "symm-det-identity":
-        return ModelSpec(Variant.SYMM, d=d, b=b, eta=eta,
-                         h_law=DeterministicLaw(np.eye(d)))
+        return ModelSpec(Variant.SYMM, d=d, b=b, eta=eta, h_law=MixtureLaw((np.eye(d),)))
     raise ConfigurationError(f"unknown model {model!r}")
 
 
@@ -304,6 +303,15 @@ def run_config_from_args(args: argparse.Namespace, subparser) -> RunConfig:
 # Subcommand implementations
 
 
+_UNUSABLE = (recursion.StopStatus.DIVERGED.value,
+             recursion.StopStatus.NON_CONTRACTION.value)
+
+
+def _unusable_counts(batch: recursion.StationaryBatch) -> dict[str, int]:
+    """Paths per unusable stop status: diverged, then non_contraction."""
+    return {s: int((batch.status == s).sum()) for s in _UNUSABLE}
+
+
 def _cmd_simulate(args, spec: ModelSpec) -> int:
     if args.n is not None:
         stop = StopRule(tol_prod=0.0, n_max=args.n)
@@ -316,7 +324,10 @@ def _cmd_simulate(args, spec: ModelSpec) -> int:
     rows = zip(range(args.samples), batch.n_steps.tolist(), *batch.r.T.tolist(),
                batch.abs_r.tolist(), batch.log_pi_final.tolist())
     _write_csv(args.out, header, rows)
-    n_nc = int((batch.status == recursion.StopStatus.NON_CONTRACTION.value).sum())
+    n_div, n_nc = _unusable_counts(batch).values()
+    if n_div:
+        print(f"warning: {n_div}/{args.samples} trajectories diverged "
+              "(non-finite product or sum)", file=sys.stderr)
     if n_nc:
         print(f"warning: {n_nc}/{args.samples} trajectories did not contract "
               "below 1 (Lyapunov exponent may be nonnegative)", file=sys.stderr)
@@ -440,21 +451,18 @@ def _cmd_operator(args, spec: ModelSpec) -> int:
     return EXIT_OK
 
 
-_UNUSABLE = (recursion.StopStatus.DIVERGED.value,
-             recursion.StopStatus.NON_CONTRACTION.value)
-
-
 def _stationary_r(spec: ModelSpec, args) -> np.ndarray:
     """The stationary draws R of the paths that stopped at tol_prod or n_max.
     Diverged and non-contracting paths are dropped, with their counts on
     stderr; if none is left, the run fails with exit code 3."""
     batch = recursion.sample_r_parallel(spec, args.samples, args.seed,
                                         workers=args.workers)
-    dropped = np.isin(batch.status, _UNUSABLE)
-    if not dropped.any():
+    counts = _unusable_counts(batch)
+    if not any(counts.values()):
         return batch.r
-    counts = ", ".join(f"{int((batch.status == s).sum())} {s}" for s in _UNUSABLE)
-    print(f"warning: dropped {dropped.sum()}/{args.samples} paths ({counts})",
+    dropped = np.isin(batch.status, _UNUSABLE)
+    summary = ", ".join(f"{c} {s}" for s, c in counts.items())
+    print(f"warning: dropped {dropped.sum()}/{args.samples} paths ({summary})",
           file=sys.stderr)
     if dropped.all():
         raise empirics.EstimationError("no path stopped at tol_prod or n_max")
@@ -563,9 +571,8 @@ def _cmd_tailbound(args, spec: ModelSpec) -> int:
             min(args.samples, 100_000), (args.seed, 1), args.workers)
         t_hi = float(np.quantile(pilot, 1 - 50 / len(pilot)))
         t_grid = list(np.geomspace(t_hi / 10, t_hi, 12))
-    rep = recursion.finite_iteration_tail(spec, args.alpha, args.epsilon, args.n,
-                                          t_grid, args.samples, args.seed,
-                                          args.workers)
+    rep = recursion.finite_iteration_tail(spec, args.n, t_grid, args.samples,
+                                          args.seed, args.workers)
     rows = [[t, p, c] for t, p, c in zip(rep.t_grid, rep.exceedance, rep.counts)]
     _write_csv(args.out, ["t", "exceedance", "count"], rows)
     print(f"top-decade log-log slope = {rep.slope:.4g} "
@@ -583,6 +590,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     args = parser.parse_args(argv)
+    # argparse reads a flag given as "--flag=--" as an empty list
+    for dest, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG

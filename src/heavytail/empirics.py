@@ -20,7 +20,7 @@ from scipy import special, stats
 
 from . import mc
 from .linalg import row_norms
-from .models import ModelSpec, gaussian_rank1, iter_h_blocks, pair_a
+from .models import ModelSpec, iter_h_blocks, pair_a, wishart_h
 
 DEFAULT_TEST_LEVEL = 0.01
 
@@ -166,8 +166,6 @@ class IntegrabilityReport:
     truncated_means: tuple[float, ...]
     stderr_at_max_cap: float
     stabilized: bool             # last two rungs differ by < rel_tol relative
-    rel_tol: float
-    samples: int
 
     @property
     def final_value(self) -> float:
@@ -208,10 +206,10 @@ def integrability_probe(spec: ModelSpec, target: IntegrabilityTarget, delta: flo
         raise ValueError(f"off-diagonal ladder needs 0 < delta < 1, got {delta}")
     if target is IntegrabilityTarget.OFF_DIAGONAL and spec.d < 2:
         raise ValueError("off-diagonal ladder needs d >= 2")
-    if (gaussian_rank1(spec) and spec.b <= spec.d + 1
+    if (wishart_h(spec) and spec.b <= spec.d + 1
             and target is not IntegrabilityTarget.OFF_DIAGONAL):
-        warnings.warn("the Gaussian rank-one H has a decaying matrix density "
-                      "only for b > d + 1; this probe is outside that regime",
+        warnings.warn("the Wishart H of a Gaussian a-law has a decaying matrix "
+                      "density only for b > d + 1; this probe is outside that regime",
                       RuntimeWarning, stacklevel=2)
     cap_grid = tuple(sorted(float(c) for c in cap_grid))
 
@@ -222,13 +220,13 @@ def integrability_probe(spec: ModelSpec, target: IntegrabilityTarget, delta: flo
     values = np.where(np.isfinite(values), values, np.inf)
     means = tuple(float(np.minimum(values, cap).mean()) for cap in cap_grid)
     capped_final = np.minimum(values, cap_grid[-1])
-    stderr = float(capped_final.std(ddof=1) / np.sqrt(len(values)))
+    n = len(values)
+    stderr = float(capped_final.std(ddof=1) / np.sqrt(n)) if n > 1 else np.nan
     stabilized = abs(means[-1] - means[-2]) < rel_tol * abs(means[-2]) \
         if len(means) >= 2 else False
     return IntegrabilityReport(target=target, delta=delta, cap_grid=cap_grid,
                                truncated_means=means, stderr_at_max_cap=stderr,
-                               stabilized=bool(stabilized), rel_tol=rel_tol,
-                               samples=len(values))
+                               stabilized=bool(stabilized))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,6 @@ class DiagonalCheckReport:
     ks_pvalues: tuple[float, ...]   # one per diagonal entry
     means: tuple[float, ...]
     variances: tuple[float, ...]
-    samples: int
 
     def passed(self, level: float = DEFAULT_TEST_LEVEL) -> bool:
         return all(p > level for p in self.ks_pvalues)
@@ -251,12 +248,12 @@ def chi2_diagonal_check(spec: ModelSpec, samples: int, seed: int = 0,
                         workers: int | None = None) -> DiagonalCheckReport:
     """KS test of each unscaled diagonal H_ll against chi-square(b).
 
-    The diagonals of the summed rank-one Gaussian matrix are i.i.d.
-    chi-square(b) (mean b, variance 2b).
+    The diagonals of a Wishart_d(b, I) H (rank1 with Gaussian a's, whatever
+    the y-law) are chi-square(b) (mean b, variance 2b).
     """
-    if not gaussian_rank1(spec):
-        raise ValueError("the chi-square diagonal law holds for the Gaussian "
-                         "rank-one law (rank1gauss) only")
+    if not wishart_h(spec):
+        raise ValueError("the chi-square diagonal law holds only for a Wishart H "
+                         "(rank1 with the Gaussian a-law)")
 
     def task(rng, m):
         # a copy per block: a view would keep every H block alive until the end
@@ -270,10 +267,9 @@ def chi2_diagonal_check(spec: ModelSpec, samples: int, seed: int = 0,
         ks = stats.kstest(col, lambda t: stats.chi2.cdf(t, df=spec.b))
         pvals.append(float(ks.pvalue))
         means.append(float(col.mean()))
-        variances.append(float(col.var(ddof=1)))
+        variances.append(float(col.var(ddof=1)) if samples > 1 else np.nan)
     return DiagonalCheckReport(b=spec.b, ks_pvalues=tuple(pvals),
-                               means=tuple(means), variances=tuple(variances),
-                               samples=samples)
+                               means=tuple(means), variances=tuple(variances))
 
 
 def unit_inner_product_density(u: np.ndarray, b: int) -> np.ndarray:
@@ -348,5 +344,5 @@ def stam_p2_check(b: int, samples: int, seed: mc.Seed = 0, n_bins: int = 50,
     return InnerProductCheckReport(b=b, chi2_statistic=float(chi2.statistic),
                                    chi2_pvalue=float(chi2.pvalue),
                                    n_bins=len(observed), mean=float(u.mean()),
-                                   variance=float(u.var(ddof=1)),
+                                   variance=float(u.var(ddof=1)) if samples > 1 else np.nan,
                                    expected_variance=1.0 / b, samples=len(u))

@@ -61,7 +61,3 @@ def row_norms(x: np.ndarray) -> np.ndarray:
         scaled = np.ldexp(q, -exp[:, None])
         out[big] = np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), exp)
     return out
-
-
-def operator_norm(m: np.ndarray) -> float:
-    return float(batch_operator_norms(np.asarray(m, dtype=float)[None])[0])

@@ -53,17 +53,6 @@ PROB_SUM_TOL = 1e-12
 BLOCK = 1 << 16
 
 
-def _as_matrix(m, d: int | None = None) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConfigurationError(f"expected a square matrix, got shape {a.shape}")
-    if d is not None and a.shape[0] != d:
-        raise ConfigurationError(f"matrix dimension {a.shape[0]} != d={d}")
-    if not np.allclose(a, a.T, rtol=0, atol=0):
-        raise ConfigurationError("matrix is not exactly symmetric")
-    return a
-
-
 def _check_probs(probs: Sequence[float]) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0 or (p < 0).any():
@@ -74,7 +63,7 @@ def _check_probs(probs: Sequence[float]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# H laws (symm variant)
+# Laws: each draws arrays of one shape, H laws by b-fold sums
 
 
 @dataclass(frozen=True)
@@ -87,155 +76,91 @@ class GoeLaw:
 
     d: int
 
-    kind = "goe"
     rotation_invariant = True
-    finite_support = False
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.d, self.d)
 
     def sample_sum(self, n: int, b: int, rng: np.random.Generator) -> np.ndarray:
         g = rng.standard_normal((n, b, self.d, self.d)).sum(axis=1)
         return (g + np.swapaxes(g, -1, -2)) / np.sqrt(2.0)
 
-    def atoms(self):
-        return None
-
-
-@dataclass(frozen=True)
-class DeterministicLaw:
-    """Point mass at a fixed symmetric matrix."""
-
-    matrix: np.ndarray
-
-    kind = "deterministic"
-    finite_support = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix))
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rotation_invariant(self) -> bool:
-        # only scalar multiples of the identity commute with every rotation
-        return bool(np.array_equal(self.matrix, self.matrix[0, 0] * np.eye(self.d)))
-
-    def sample_sum(self, n: int, b: int, rng: np.random.Generator) -> np.ndarray:
-        return np.broadcast_to(b * self.matrix, (n, self.d, self.d)).copy()
-
-    def atoms(self):
-        return [(self.matrix, 1.0)]
-
-
-@dataclass(frozen=True)
-class MatrixMixtureLaw:
-    """Finite mixture over symmetric matrices."""
-
-    matrices: tuple[np.ndarray, ...]
-    probs: tuple[float, ...]
-
-    kind = "mixture"
-    finite_support = True
-
-    def __post_init__(self):
-        mats = tuple(_as_matrix(m) for m in self.matrices)
-        if len({m.shape[0] for m in mats}) != 1:
-            raise ConfigurationError("mixture matrices must share one dimension")
-        p = _check_probs(self.probs)
-        if len(p) != len(mats):
-            raise ConfigurationError("need one probability per matrix")
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "probs", tuple(float(x) for x in p))
-
-    @property
-    def d(self) -> int:
-        return self.matrices[0].shape[0]
-
-    @property
-    def rotation_invariant(self) -> bool:
-        eye = np.eye(self.d)
-        return all(np.array_equal(m, m[0, 0] * eye) for m in self.matrices)
-
-    def sample_sum(self, n: int, b: int, rng: np.random.Generator) -> np.ndarray:
-        stack = np.stack(self.matrices)
-        idx = rng.choice(len(stack), size=(n, b), p=np.asarray(self.probs))
-        return stack[idx].sum(axis=1)
-
-    def atoms(self):
-        return list(zip(self.matrices, self.probs))
-
-
-# ---------------------------------------------------------------------------
-# B laws (symm variant)
-
 
 @dataclass(frozen=True)
 class GaussianVectorLaw:
-    """Standard Gaussian vector in R^d. Consumes d normals per draw."""
+    """Standard Gaussian vector in R^d (d = 1 for a y law). Consumes d
+    normals per draw."""
 
     d: int
 
-    kind = "gaussian"
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.d,)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((n, self.d))
 
 
 @dataclass(frozen=True)
-class VectorMixtureLaw:
-    """Finite mixture over fixed vectors."""
+class MixtureLaw:
+    """Finite mixture: atom i with probability ``probs[i]``.
 
-    vectors: tuple[np.ndarray, ...]
-    probs: tuple[float, ...]
+    Atoms are symmetric d x d matrices (an H law), d-vectors (a B or a law)
+    or scalars (a y law, stored as 1-vectors); they are validated and
+    stacked into ``atoms`` at construction. A draw indexes the stack with
+    ``rng.choice``. A single atom is a point mass and draws no random
+    numbers.
+    """
 
-    kind = "mixture"
+    atoms: np.ndarray
+    probs: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        vecs = tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in self.vectors)
-        if len({v.shape for v in vecs}) != 1:
-            raise ConfigurationError("mixture vectors must share one shape")
+        atoms = [np.atleast_1d(np.asarray(a, dtype=float)) for a in self.atoms]
+        if not atoms or len({a.shape for a in atoms}) != 1:
+            raise ConfigurationError("mixture atoms must be nonempty and share one shape")
+        stack = np.stack(atoms)
+        if stack.ndim == 3:
+            if stack.shape[1] != stack.shape[2]:
+                raise ConfigurationError(f"expected square matrices, got shape {stack.shape[1:]}")
+            if not np.array_equal(stack, np.swapaxes(stack, 1, 2)):
+                raise ConfigurationError("matrix is not exactly symmetric")
+        elif stack.ndim != 2:
+            raise ConfigurationError(
+                f"mixture atoms must be scalars, vectors or matrices, got shape {stack.shape[1:]}")
         p = _check_probs(self.probs)
-        if len(p) != len(vecs):
-            raise ConfigurationError("need one probability per vector")
-        object.__setattr__(self, "vectors", vecs)
+        if len(p) != len(atoms):
+            raise ConfigurationError("need one probability per atom")
+        stack.flags.writeable = False
+        object.__setattr__(self, "atoms", stack)
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return self.atoms.shape[1:]
+
+    @property
     def d(self) -> int:
-        return self.vectors[0].shape[0]
+        return self.atoms.shape[1]
+
+    @property
+    def rotation_invariant(self) -> bool:
+        # only scalar multiples of the identity commute with every rotation
+        a = self.atoms
+        return a.ndim == 3 and bool(np.array_equal(a, a[:, :1, :1] * np.eye(self.d)))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        stack = np.stack(self.vectors)
-        idx = rng.choice(len(stack), size=n, p=np.asarray(self.probs))
-        return stack[idx]
+        if len(self.atoms) == 1:
+            return np.broadcast_to(self.atoms[0], (n, *self.shape)).copy()
+        return self.atoms[rng.choice(len(self.atoms), size=n, p=np.asarray(self.probs))]
 
-
-@dataclass(frozen=True)
-class ScalarMixtureLaw:
-    """Finite mixture over fixed scalars (rank1 y law)."""
-
-    values: tuple[float, ...]
-    probs: tuple[float, ...]
-
-    kind = "mixture"
-
-    def __post_init__(self):
-        p = _check_probs(self.probs)
-        if len(p) != len(self.values):
-            raise ConfigurationError("need one probability per value")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "probs", tuple(float(x) for x in p))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(self.values)[rng.choice(len(self.values), size=n, p=np.asarray(self.probs))]
-
-
-@dataclass(frozen=True)
-class GaussianScalarLaw:
-    kind = "gaussian"
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(n)
+    def sample_sum(self, n: int, b: int, rng: np.random.Generator) -> np.ndarray:
+        """n sums of b i.i.d. draws; a point mass M gives b * M."""
+        if len(self.atoms) == 1:
+            return np.broadcast_to(b * self.atoms[0], (n, *self.shape)).copy()
+        idx = rng.choice(len(self.atoms), size=(n, b), p=np.asarray(self.probs))
+        return self.atoms[idx].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +196,21 @@ class ModelSpec:
             if self.a_law is None:
                 object.__setattr__(self, "a_law", GaussianVectorLaw(self.d))
             if self.y_law is None:
-                object.__setattr__(self, "y_law", GaussianScalarLaw())
+                object.__setattr__(self, "y_law", GaussianVectorLaw(1))
+            shapes = {"a_law": (self.d,), "y_law": (1,)}
         else:  # SYMM
             if self.a_law is not None or self.y_law is not None:
                 raise ConfigurationError("symm uses h_law/b_law, not a_law/y_law")
             if self.h_law is None:
                 raise ConfigurationError("symm requires an h_law")
-            if self.h_law.d != self.d:
-                raise ConfigurationError("h_law dimension does not match d")
             if self.b_law is None:
                 object.__setattr__(self, "b_law", GaussianVectorLaw(self.d))
-            if self.b_law.d != self.d:
-                raise ConfigurationError("b_law dimension does not match d")
+            shapes = {"h_law": (self.d, self.d), "b_law": (self.d,)}
+        for name, shape in shapes.items():
+            law_shape = getattr(self, name).shape
+            if law_shape != shape:
+                raise ConfigurationError(
+                    f"{name} draws have shape {law_shape}, need {shape} for d = {self.d}")
 
     @property
     def xi(self) -> float:
@@ -295,13 +223,12 @@ class ModelSpec:
             # conjugation by O(1) = {1, -1} fixes every 1 x 1 matrix
             return True
         if self.variant is Variant.RANK1:
-            # H = sum a_i a_i^T does not depend on the y-law
-            return isinstance(self.a_law, GaussianVectorLaw)
-        return bool(getattr(self.h_law, "rotation_invariant", False))
+            return wishart_h(self)
+        return self.h_law.rotation_invariant
 
     @property
     def has_finite_h_support(self) -> bool:
-        return self.variant is Variant.SYMM and getattr(self.h_law, "finite_support", False)
+        return isinstance(self.h_law, MixtureLaw)
 
 
 def rank1_gauss(d: int, b: int, eta: float) -> ModelSpec:
@@ -317,11 +244,16 @@ def symm(d: int, b: int, eta: float, h_law, b_law=None) -> ModelSpec:
 # Sampling
 
 
+def wishart_h(spec: ModelSpec) -> bool:
+    """Whether H is Wishart_d(b, I): rank1 with the Gaussian a-law, whatever
+    the y-law, since H = sum a_i a_i^T does not depend on it."""
+    return spec.variant is Variant.RANK1 and isinstance(spec.a_law, GaussianVectorLaw)
+
+
 def gaussian_rank1(spec: ModelSpec) -> bool:
-    """Whether spec is the Gaussian rank-one law (``rank1gauss``): rank1 with
-    Gaussian a- and y-laws, whose draws come from a Bartlett factor."""
-    return (isinstance(spec.a_law, GaussianVectorLaw)
-            and isinstance(spec.y_law, GaussianScalarLaw))
+    """Whether spec is the Gaussian rank-one law (``rank1gauss``): Wishart H
+    and a Gaussian y-law, whose draws come from a Bartlett factor."""
+    return wishart_h(spec) and isinstance(spec.y_law, GaussianVectorLaw)
 
 
 def independent_gaussian_b(spec: ModelSpec) -> bool:
@@ -482,7 +414,7 @@ def h_sum_support(spec: ModelSpec, limit: int = MAX_SUPPORT_ATOMS):
     """
     if not spec.has_finite_h_support:
         return None
-    atoms = spec.h_law.atoms()
+    atoms, probs = spec.h_law.atoms, spec.h_law.probs
     m = len(atoms)
     if math.comb(m + spec.b - 1, spec.b) > limit:
         return None
@@ -494,8 +426,8 @@ def h_sum_support(spec: ModelSpec, limit: int = MAX_SUPPORT_ATOMS):
         prob = 1.0
         for j, c in enumerate(counts):
             weight //= math.factorial(int(c))
-            prob *= atoms[j][1] ** int(c)
-        total = sum(atoms[j][0] * int(c) for j, c in enumerate(counts) if c)
+            prob *= probs[j] ** int(c)
+        total = sum(atoms[j] * int(c) for j, c in enumerate(counts) if c)
         out.append((total, weight * prob))
     return out
 
@@ -521,6 +453,10 @@ def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.replace(",", " ").split()]
 
 
+# The law-file key that lists a mixture's atoms, by role
+_ATOM_KEYS = {"h": "matrices", "b": "vectors", "a": "vectors", "y": "values"}
+
+
 def _law_from_section(section, d: int, role: str):
     kind = section.get("kind", "gaussian").strip().lower()
 
@@ -530,34 +466,19 @@ def _law_from_section(section, d: int, role: str):
                 f"[{section.name}] kind = {kind} needs the key {key!r}")
         return section[key]
 
-    if role == "h":
-        if kind == "goe":
-            return GoeLaw(d)
-        if kind == "deterministic":
-            mats = _parse_bracketed_list(need("matrices"))
-            if len(mats) != 1:
-                raise ConfigurationError("deterministic h_law takes exactly one matrix")
-            return DeterministicLaw(np.asarray(mats[0], dtype=float))
+    if kind == "mixture" or (role == "h" and kind == "deterministic"):
+        text = need(_ATOM_KEYS[role])
+        atoms = _parse_floats(text) if role == "y" else _parse_bracketed_list(text)
         if kind == "mixture":
-            mats = tuple(np.asarray(m, dtype=float) for m in _parse_bracketed_list(need("matrices")))
-            probs = tuple(_parse_floats(need("probs")))
-            return MatrixMixtureLaw(mats, probs)
-        raise ConfigurationError(f"unknown h_law kind {kind!r}")
-    if role in ("b", "a"):
-        if kind == "gaussian":
-            return GaussianVectorLaw(d)
-        if kind == "mixture":
-            vecs = tuple(np.asarray(v, dtype=float) for v in _parse_bracketed_list(need("vectors")))
-            probs = tuple(_parse_floats(need("probs")))
-            return VectorMixtureLaw(vecs, probs)
-        raise ConfigurationError(f"unknown {role}_law kind {kind!r}")
-    # y law
-    if kind == "gaussian":
-        return GaussianScalarLaw()
-    if kind == "mixture":
-        return ScalarMixtureLaw(tuple(_parse_floats(need("values"))),
-                                tuple(_parse_floats(need("probs"))))
-    raise ConfigurationError(f"unknown y_law kind {kind!r}")
+            return MixtureLaw(atoms, tuple(_parse_floats(need("probs"))))
+        if len(atoms) != 1:
+            raise ConfigurationError("deterministic h_law takes exactly one matrix")
+        return MixtureLaw(atoms)
+    if role == "h" and kind == "goe":
+        return GoeLaw(d)
+    if role != "h" and kind == "gaussian":
+        return GaussianVectorLaw(1 if role == "y" else d)
+    raise ConfigurationError(f"unknown {role}_law kind {kind!r}")
 
 
 def spec_from_law_text(text: str, overrides: dict | None = None) -> ModelSpec:

@@ -541,18 +541,14 @@ class TailBoundReport:
     """Empirical exceedance curve of |R_n| with a top-decade power fit."""
 
     n: int
-    alpha: float
-    epsilon: float
     t_grid: np.ndarray
     exceedance: np.ndarray       # P(|R_n| > t) per t
     counts: np.ndarray           # exceedance counts per t
     slope: float                 # log-log fit over the top decade of t
-    top_decade_mask: np.ndarray
     widened_uncertainty: bool    # < 50 exceedances in the top decade
 
 
-def finite_iteration_tail(spec: ModelSpec, alpha: float, epsilon: float, n: int,
-                          t_grid, samples: int, seed: int,
+def finite_iteration_tail(spec: ModelSpec, n: int, t_grid, samples: int, seed: int,
                           workers: int | None = None) -> TailBoundReport:
     """Exceedance curve of |R_n| plus its fitted log-log slope.
 
@@ -574,6 +570,5 @@ def finite_iteration_tail(spec: ModelSpec, alpha: float, epsilon: float, n: int,
     else:
         slope = np.nan
     widened = bool(counts[top].min() < 50) if top.any() else True
-    return TailBoundReport(n=n, alpha=alpha, epsilon=epsilon, t_grid=t_grid,
-                           exceedance=exceed, counts=counts, slope=slope,
-                           top_decade_mask=top, widened_uncertainty=widened)
+    return TailBoundReport(n=n, t_grid=t_grid, exceedance=exceed, counts=counts,
+                           slope=slope, widened_uncertainty=widened)

@@ -57,12 +57,10 @@ class AlphaSolve:
     status: SolveStatus
     gamma: float = np.nan
     gamma_stderr: float = np.nan
-    h_stderr: float = np.nan
 
 
 @dataclass(frozen=True)
 class AlphaCurve:
-    xi_grid: tuple[float, ...]
     solves: tuple[AlphaSolve, ...]
     xi1: float
     monotonicity_report: tuple[tuple[float, float, bool], ...]
@@ -107,7 +105,7 @@ def solve_alpha(cols: FirstColumnSample, s_max: float = S_MAX_DEFAULT,
     return AlphaSolve(xi=xi, alpha=float(root), residual=float(h_at.mean - 1.0),
                       bracket=(lo, hi), stderr_alpha=float(stderr_alpha),
                       status=SolveStatus.CONVERGED, gamma=gam.mean,
-                      gamma_stderr=gam.stderr, h_stderr=h_at.stderr)
+                      gamma_stderr=gam.stderr)
 
 
 def solve_xi1(cols: FirstColumnSample) -> float:
@@ -188,7 +186,7 @@ def alpha_curve(spec: ModelSpec, xi_grid, samples: int = 200_000, seed: int = 0,
             unc = float(np.hypot(left.stderr_alpha, right.stderr_alpha))
             decreasing = bool(a_l - a_r > unc)
         report.append((left.xi, right.xi, decreasing))
-    return AlphaCurve(xi_grid=xi_grid, solves=tuple(solves), xi1=xi1,
+    return AlphaCurve(solves=tuple(solves), xi1=xi1,
                       monotonicity_report=tuple(report))
 
 
@@ -198,13 +196,11 @@ def alpha_curve(spec: ModelSpec, xi_grid, samples: int = 200_000, seed: int = 0,
 
 @dataclass(frozen=True)
 class ContourGrid:
-    param_name: str              # "b" or "eta"
     param_grid: tuple[float, ...]
     s_grid: tuple[float, ...]
     h: np.ndarray                # raw values, shape (len(param_grid), len(s_grid))
-    h_clipped: np.ndarray        # clipped at the display ceiling (2.0)
+    h_clipped: np.ndarray        # clipped at clip_level for display
     isoline: tuple[np.ndarray, ...]  # polylines in (param, s) coordinates
-    clip_level: float = 2.0
 
 
 def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
@@ -249,9 +245,8 @@ def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
     h = np.array(mc.parallel_tasks(column, len(param_grid), pool_workers)).reshape(
         len(param_grid), len(s_grid))
     isoline = marching_squares(np.asarray(param_grid), np.asarray(s_grid), h, 1.0)
-    return ContourGrid(param_name=param, param_grid=param_grid, s_grid=s_grid,
-                       h=h, h_clipped=np.minimum(h, clip_level), isoline=isoline,
-                       clip_level=clip_level)
+    return ContourGrid(param_grid=param_grid, s_grid=s_grid, h=h,
+                       h_clipped=np.minimum(h, clip_level), isoline=isoline)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from heavytail.cli import EXIT_OK, main as cli_main
 from heavytail.empirics import (IntegrabilityTarget, angular_exceedance_test,
                                 chi2_diagonal_check, hill_estimate,
                                 integrability_probe, stam_p2_check)
-from heavytail.models import MatrixMixtureLaw, rank1_gauss, symm
+from heavytail.models import MixtureLaw, rank1_gauss, symm
 from heavytail.recursion import moment_growth_curve, finite_iteration_tail, \
     partial_sum_norms, sample_r_batch
 from heavytail.spectral import (FirstColumnSample, ProductSample,
@@ -32,7 +32,7 @@ ETA_ALPHA2 = 2.0 / 3.0  # quadrature root of E|1 - eta a^2|^2 = 1 is alpha = 2
 
 def mixture_alpha1_spec():
     # scalar mixture with E|A| = (0.5 + 1.5)/2 = 1 at xi = 1: tail index 1
-    law = MatrixMixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
+    law = MixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
     return symm(d=1, b=1, eta=1.0, h_law=law)
 
 
@@ -181,7 +181,7 @@ def test_criterion_08_finite_iteration_tail_bound():
     spec = mixture_alpha1_spec()
     pilot = partial_sum_norms(spec, [20], 200_000, mc.substream(800))[:, 0]
     t_hi = float(np.quantile(pilot, 1 - 200 / len(pilot)))
-    rep = finite_iteration_tail(spec, alpha=1.0, epsilon=0.5, n=20,
+    rep = finite_iteration_tail(spec, n=20,
                                 t_grid=np.geomspace(t_hi / 10, t_hi, 12),
                                 samples=1_000_000, seed=801)
     ok = rep.slope <= -1.3 and not rep.widened_uncertainty

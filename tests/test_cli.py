@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_simulate_csv_columns(tmp_path):
     assert len(lines) == 51
 
 
+def test_simulate_reports_diverged_paths(tmp_path, capsys):
+    # A = -9 I: every path overflows; the rows and exit code stay as they were
+    out = tmp_path / "sim.csv"
+    code = run_cli(["simulate", "--model", "symm-det-identity", "--d", "2",
+                    "--eta", "10", "--samples", "3", "--out", out])
+    assert code == EXIT_OK
+    assert "3/3 trajectories diverged" in capsys.readouterr().err
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",inf") for row in rows)
+
+
 def test_simulate_fixed_n(tmp_path):
     out = tmp_path / "sim.csv"
     code = run_cli(["simulate", "--model", "rank1gauss", "--d", "1", "--b", "1",
@@ -175,6 +187,9 @@ def test_unknown_subcommand_exits_2():
     ["operator", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--s", "nan"],
     ["operator", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--s", "inf"],
     ["operator", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--s", "-1"],
+    ["alpha", "--model", "rank1gauss", "--eta=--"],
+    ["kcurve", "--model", "rank1gauss", "--eta", "0.5", "--s-grid=--"],
+    ["simulate", "--model", "rank1gauss", "--eta", "0.5", "--samples=--"],
 ])
 def test_non_positive_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -947,6 +962,56 @@ def test_rank1_integrability_warns_outside_the_density_regime(tmp_path):
         assert run_cli(["integrability", "--model", "rank1", "--d", "2", "--b", "2",
                         "--eta", "0.3", "--samples", "100",
                         "--out", tmp_path / "i.csv"]) == EXIT_OK
+
+
+# The Gaussian a-law with a +-1 y-law: H is still Wishart_2(8, I)
+Y_MIXTURE_LAW = """\
+[model]
+variant = rank1
+d = 2
+b = 8
+eta = 0.3
+
+[y_law]
+kind = mixture
+values = -1.0, 1.0
+probs = 0.5, 0.5
+"""
+
+
+def test_h_only_checks_ask_the_a_law(tmp_path):
+    law = tmp_path / "ymix.law"
+    law.write_text(Y_MIXTURE_LAW)
+    out = tmp_path / "g.csv"
+    assert run_cli(["gausscheck", "--law-file", law, "--check", "chi2",
+                    "--samples", "2000", "--out", out]) == EXIT_OK
+    with open(out, newline="") as fh:
+        assert all(float(row["pvalue"]) > 0.01 for row in csv.DictReader(fh))
+    with pytest.warns(RuntimeWarning, match="b > d \\+ 1"):
+        assert run_cli(["integrability", "--law-file", law, "--b", "2",
+                        "--samples", "100", "--out", tmp_path / "i.csv"]) == EXIT_OK
+
+
+def test_law_of_the_wrong_dimension_exits_2(tmp_path):
+    # it used to warn about rotation invariance, then fail on a reshape
+    law = tmp_path / "a3.law"
+    law.write_text("[model]\nvariant = rank1\nd = 2\nb = 2\neta = 0.5\n\n[a_law]\n"
+                   "kind = mixture\nvectors = [1.0, 0.0, 0.0] ; [0.0, 1.0, 0.0]\n"
+                   "probs = 0.5, 0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _exit_code(["alpha", "--law-file", str(law), "--samples", "100"])
+    assert code == EXIT_CONFIG and "a_law" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", [["integrability"], ["gausscheck", "--check", "both"]])
+def test_one_draw_runs_report_nan_quietly(cmd, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*cmd, "--model", "rank1gauss", "--d", "2", "--b", "8",
+                        "--eta", "0.3", "--samples", "1",
+                        "--out", tmp_path / "one.csv"]) == EXIT_OK
+    assert "nan" in capsys.readouterr().out
 
 
 def test_rank1gauss_law_file_with_a_law_section_exits_2(tmp_path, capsys):

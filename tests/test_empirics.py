@@ -10,7 +10,7 @@ from heavytail.empirics import (EstimationError, IntegrabilityTarget,
                                 hill_estimate, hill_stability_scan,
                                 integrability_probe, stam_p2_check,
                                 unit_inner_product_density)
-from heavytail.models import DeterministicLaw, rank1_gauss, symm
+from heavytail.models import MixtureLaw, rank1_gauss, symm
 
 
 def pareto_sample(alpha, n, seed):
@@ -91,7 +91,7 @@ def test_angular_too_few_exceedances_inconclusive():
 
 def test_ladder_deterministic_det():
     # H = I, xi = 0.5, d = 2: det A = 0.25, so the ladder is constant 4^delta
-    spec = symm(d=2, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(2)))
+    spec = symm(d=2, b=1, eta=0.5, h_law=MixtureLaw((np.eye(2),)))
     rep = integrability_probe(spec, IntegrabilityTarget.DET_A, delta=0.25,
                               samples=500, seed=7)
     assert np.allclose(rep.truncated_means, 0.25 ** -0.25)

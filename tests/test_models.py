@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from heavytail import mc, models
-from heavytail.models import (ConfigurationError, DeterministicLaw,
-                              GaussianVectorLaw, GoeLaw, MatrixMixtureLaw,
-                              ModelSpec, ScalarMixtureLaw, Variant,
-                              VectorMixtureLaw, h_sum_support, pair_a,
+from heavytail.models import (ConfigurationError, GaussianVectorLaw, GoeLaw,
+                              MixtureLaw, ModelSpec, Variant, h_sum_support, pair_a,
                               rank1_gauss, sample_h_columns, sample_h_sums,
                               sample_pairs, spec_from_law_text, symm)
 
@@ -61,7 +61,7 @@ def test_construction_identity_rank1gauss():
 
 
 def test_symm_deterministic_identity_case():
-    spec = symm(d=3, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(3)))
+    spec = symm(d=3, b=1, eta=0.5, h_law=MixtureLaw((np.eye(3),)))
     h, _ = sample_pairs(spec, 1, mc.substream(1))
     assert np.array_equal(pair_a(spec, h)[0], 0.5 * np.eye(3))
 
@@ -144,21 +144,21 @@ def test_fixed_seed_reproducibility():
 
 def test_goe_law_is_rotation_invariant_flag():
     assert GoeLaw(2).rotation_invariant
-    assert DeterministicLaw(2.0 * np.eye(3)).rotation_invariant
-    assert not DeterministicLaw(np.diag([1.0, 2.0])).rotation_invariant
+    assert MixtureLaw((2.0 * np.eye(3),)).rotation_invariant
+    assert not MixtureLaw((np.diag([1.0, 2.0]),)).rotation_invariant
     assert rank1_gauss(1, 1, 0.5).rotation_invariant
 
 
 def test_mixture_probability_validation():
     eye = np.eye(1)
     with pytest.raises(ConfigurationError):
-        MatrixMixtureLaw((eye, 2 * eye), (0.5, 0.5 + 1e-9))
-    law = MatrixMixtureLaw((eye, 2 * eye), (0.5, 0.5))
+        MixtureLaw((eye, 2 * eye), (0.5, 0.5 + 1e-9))
+    law = MixtureLaw((eye, 2 * eye), (0.5, 0.5))
     assert law.d == 1
 
 
 def test_h_sum_support_multiset_expansion():
-    law = MatrixMixtureLaw((np.eye(1) * 0.5, np.eye(1) * 2.5), (0.25, 0.75))
+    law = MixtureLaw((np.eye(1) * 0.5, np.eye(1) * 2.5), (0.25, 0.75))
     spec = symm(d=1, b=2, eta=1.0, h_law=law)
     support = h_sum_support(spec)
     assert len(support) == 3  # multisets {aa, ab, bb}
@@ -193,8 +193,8 @@ def test_law_file_bad_probs_rejected():
 
 
 def test_symm_b_law_mixture():
-    b_law = VectorMixtureLaw((np.array([1.0, 0.0]),), (1.0,))
-    spec = symm(d=2, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(2)), b_law=b_law)
+    b_law = MixtureLaw((np.array([1.0, 0.0]),), (1.0,))
+    spec = symm(d=2, b=1, eta=0.5, h_law=MixtureLaw((np.eye(2),)), b_law=b_law)
     _, bvec = sample_pairs(spec, 10, mc.substream(10))
     assert np.array_equal(bvec, np.tile([1.0, 0.0], (10, 1)))
 
@@ -295,7 +295,7 @@ def test_singular_bartlett_and_a_draw_path_for_non_gaussian_laws():
     assert np.array_equal(h, full)
     # Gaussian a's but a non-Gaussian y law at b >= d: B = xi * 2 * sum a_i
     spec = ModelSpec(Variant.RANK1, d=2, b=3, eta=0.4,
-                     y_law=ScalarMixtureLaw((2.0,), (1.0,)))
+                     y_law=MixtureLaw((2.0,), (1.0,)))
     h, bvec = sample_pairs(spec, n, mc.substream(15))
     a = mc.substream(15).standard_normal((n, 3, 2))
     assert np.allclose(h, np.einsum("nbi,nbj->nij", a, a), rtol=0, atol=1e-12)
@@ -304,3 +304,97 @@ def test_singular_bartlett_and_a_draw_path_for_non_gaussian_laws():
     spec = spec_from_law_text(RANK1_LAW_TEXT)
     h = sample_h_sums(spec, n, mc.substream(16))
     assert np.array_equal(h, np.round(h))
+
+
+# A law-file section per role: its [model] variant, the other sections it
+# needs, and the key that lists the mixture's atoms
+ROLE_TEXT = {
+    "h": ("symm", "", "matrices"),
+    "b": ("symm", "[h_law]\nkind = goe\n\n", "vectors"),
+    "a": ("rank1", "", "vectors"),
+    "y": ("rank1", "", "values"),
+}
+
+
+@st.composite
+def _mixtures(draw):
+    """(role, d, atoms, probs): 1-4 symmetric matrices, vectors or scalars."""
+    role = draw(st.sampled_from(sorted(ROLE_TEXT)))
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    value = st.floats(-1e6, 1e6, allow_nan=False)
+    atoms = []
+    for _ in range(m):
+        if role == "h":
+            upper = np.triu(np.array(draw(st.lists(value, min_size=d * d,
+                                                   max_size=d * d))).reshape(d, d))
+            atoms.append(upper + np.triu(upper, 1).T)
+        else:
+            size = 1 if role == "y" else d
+            atoms.append(np.array(draw(st.lists(value, min_size=size, max_size=size))))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m))
+    probs = [w / sum(weights) for w in weights]
+    return role, d, atoms, probs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixtures())
+def test_law_file_mixture_parses_to_its_atoms(mixture):
+    role, d, atoms, probs = mixture
+    variant, other, key = ROLE_TEXT[role]
+    listed = (", ".join(repr(float(a[0])) for a in atoms) if role == "y"
+              else " ; ".join(repr(a.tolist()) for a in atoms))
+    text = (f"[model]\nvariant = {variant}\nd = {d}\nb = 2\neta = 0.5\n\n{other}"
+            f"[{role}_law]\nkind = mixture\n{key} = {listed}\n"
+            f"probs = {', '.join(map(repr, probs))}\n")
+    law = getattr(spec_from_law_text(text), f"{role}_law")
+    assert isinstance(law, MixtureLaw)
+    assert np.array_equal(law.atoms, np.stack(atoms))
+    assert law.probs == tuple(probs)
+
+
+@pytest.mark.parametrize("atom", [2.5, np.array([1.0, -2.0]),
+                                  np.array([[1.0, 0.5], [0.5, 3.0]])])
+def test_one_atom_law_is_a_point_mass_that_draws_nothing(atom):
+    law = MixtureLaw((atom,))
+    rng = mc.substream(30)
+    state = rng.bit_generator.state
+    draws = law.sample(5, rng)
+    sums = law.sample_sum(5, 3, rng)
+    assert rng.bit_generator.state == state
+    point = np.atleast_1d(atom)
+    assert np.array_equal(draws, np.broadcast_to(point, (5, *point.shape)))
+    assert np.array_equal(sums, np.broadcast_to(3 * point, (5, *point.shape)))
+    # the deterministic law-file kind is this one-atom mixture
+    text = ("[model]\nvariant = symm\nd = 2\nb = 3\neta = 0.5\n\n[h_law]\n"
+            "kind = deterministic\nmatrices = [[1.0, 0.5], [0.5, 3.0]]\n")
+    h_law = spec_from_law_text(text).h_law
+    assert np.array_equal(h_law.atoms, [[[1.0, 0.5], [0.5, 3.0]]]) and h_law.probs == (1.0,)
+
+
+@pytest.mark.parametrize("role, law", [
+    ("h_law", MixtureLaw((np.eye(3),))),
+    ("h_law", MixtureLaw((np.ones(2),))),
+    ("h_law", GaussianVectorLaw(2)),
+    ("b_law", MixtureLaw((np.ones(3),))),
+    ("b_law", GoeLaw(2)),
+    ("a_law", MixtureLaw((np.ones(3), np.zeros(3)), (0.5, 0.5))),
+    ("a_law", GaussianVectorLaw(1)),
+    ("y_law", MixtureLaw((np.ones(2),))),
+    ("y_law", GaussianVectorLaw(2)),
+])
+def test_spec_rejects_a_law_of_the_wrong_dimension(role, law):
+    variant = Variant.SYMM if role in ("h_law", "b_law") else Variant.RANK1
+    laws = {"h_law": GoeLaw(2)} if variant is Variant.SYMM else {}
+    with pytest.raises(ConfigurationError, match=role):
+        ModelSpec(variant, d=2, b=2, eta=0.5, **{**laws, role: law})
+
+
+def test_wishart_h_asks_the_a_law_alone():
+    y_mix = MixtureLaw((-1.0, 1.0), (0.5, 0.5))
+    spec = ModelSpec(Variant.RANK1, d=2, b=8, eta=0.3, y_law=y_mix)
+    assert models.wishart_h(spec) and spec.rotation_invariant
+    assert not models.gaussian_rank1(spec)
+    a_mix = MixtureLaw((np.array([1.0, 0.0]), np.array([0.0, 1.0])), (0.5, 0.5))
+    assert not models.wishart_h(ModelSpec(Variant.RANK1, d=2, b=8, eta=0.3, a_law=a_mix))
+    assert not models.wishart_h(symm(d=2, b=8, eta=0.3, h_law=GoeLaw(2)))

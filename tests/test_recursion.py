@@ -11,11 +11,9 @@ from hypothesis.extra import numpy as hnp
 
 from heavytail import mc, recursion
 from heavytail.cli import main
-from heavytail.linalg import batch_operator_norms, operator_norm, row_norms
-from heavytail.models import (ConfigurationError, DeterministicLaw,
-                              MatrixMixtureLaw, VectorMixtureLaw,
-                              independent_gaussian_b, pair_a, rank1_gauss,
-                              sample_pairs, symm)
+from heavytail.linalg import batch_operator_norms, row_norms
+from heavytail.models import (ConfigurationError, MixtureLaw, independent_gaussian_b,
+                              pair_a, rank1_gauss, sample_pairs, symm)
 from heavytail.recursion import (AlphaTilt, ProductState, StopRule, StopStatus,
                                  TiltedPaths, finite_iteration_tail,
                                  moment_growth_curve, partial_sum_norms,
@@ -24,8 +22,8 @@ from heavytail.recursion import (AlphaTilt, ProductState, StopRule, StopStatus,
 
 def half_identity_spec(d=2):
     # A = 0.5 I, B = e_1 deterministically
-    return symm(d=d, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(d)),
-                b_law=VectorMixtureLaw((np.eye(d)[0],), (1.0,)))
+    return symm(d=d, b=1, eta=0.5, h_law=MixtureLaw((np.eye(d),)),
+                b_law=MixtureLaw((np.eye(d)[0],), (1.0,)))
 
 
 def const_steps(state, a_mat, b_vec, n):
@@ -40,7 +38,7 @@ def test_operator_norm_accuracy():
     rng = np.random.default_rng(0)
     for _ in range(200):
         m = rng.standard_normal((3, 3))
-        assert operator_norm(m) == pytest.approx(
+        assert batch_operator_norms(m) == pytest.approx(
             np.linalg.svd(m, compute_uv=False)[0], rel=1e-12)
     m2 = rng.standard_normal((500, 2, 2))
     ref = np.linalg.svd(m2, compute_uv=False)[:, 0]
@@ -159,7 +157,7 @@ def test_log_norms_invariant_under_renormalization(mats, k, sign):
         scaled.step(c * a[None])
         assert scaled.log_norms()[0] == pytest.approx(
             plain.log_norms()[0] + n * np.log(c), rel=1e-12)
-        unit = [s.pi[0] / operator_norm(s.pi[0]) for s in (plain, scaled)]
+        unit = [s.pi[0] / batch_operator_norms(s.pi[0]) for s in (plain, scaled)]
         assert np.allclose(unit[1], unit[0], rtol=1e-12, atol=0)
     assert plain.log_scale[0] == 0.0 and scaled.log_scale[0] != 0.0
 
@@ -192,8 +190,8 @@ def test_forward_iterate_tracked():
 def test_divergence_freezes_trajectory():
     # A = 1 + 1e308, B = 1e308: R_1 = 1e308 is finite, R_2 overflows, so the
     # path stops at step 2 as diverged and keeps its last finite R
-    spec = symm(d=1, b=1, eta=1.0, h_law=DeterministicLaw(np.array([[-1e308]])),
-                b_law=VectorMixtureLaw((np.array([1e308]),), (1.0,)))
+    spec = symm(d=1, b=1, eta=1.0, h_law=MixtureLaw((np.array([[-1e308]]),)),
+                b_law=MixtureLaw((np.array([1e308]),), (1.0,)))
     batch = sample_r_batch(spec, 1, mc.substream(0), StopRule(n_max=10))
     assert batch.status[0] == StopStatus.DIVERGED.value
     assert batch.n_steps[0] == 2
@@ -211,7 +209,7 @@ def test_submultiplicative_log_norms():
         a = pair_a(spec, h)
         state.step(a, b)
         log_norm = state.log_norms()[0]
-        assert log_norm <= prev + np.log(operator_norm(a[0])) + 1e-10
+        assert log_norm <= prev + np.log(batch_operator_norms(a[0])) + 1e-10
         prev = log_norm
 
 
@@ -269,8 +267,8 @@ def _matmul_stop_rule_reference(spec, draws, rng, stop):
 
 def test_sample_r_batch_matches_a_matmul_reference():
     # the d = 2 finite-support law of the CLI's one-worker digests
-    h_law = MatrixMixtureLaw((np.array([[1.0, 0.5], [0.5, 1.0]]),
-                              np.array([[0.2, 0.0], [0.0, 1.6]])), (0.5, 0.5))
+    h_law = MixtureLaw((np.array([[1.0, 0.5], [0.5, 1.0]]),
+                        np.array([[0.2, 0.0], [0.0, 1.6]])), (0.5, 0.5))
     spec = symm(d=2, b=2, eta=0.8, h_law=h_law)
     stop = StopRule()
     batch = sample_r_batch(spec, 2000, mc.substream(4, 0), stop)
@@ -326,14 +324,14 @@ def test_abs_r_finite_where_its_square_overflows(tmp_path):
 
 
 def test_partial_sum_norms_finite_where_square_overflows():
-    spec = symm(d=2, b=1, eta=10.0, h_law=DeterministicLaw(np.eye(2)))
+    spec = symm(d=2, b=1, eta=10.0, h_law=MixtureLaw((np.eye(2),)))
     vals = partial_sum_norms(spec, [10, 300], 3, mc.substream(12))
     assert np.isfinite(vals).all() and (vals[:, 1] > 1e154).all()
 
 
 def _det_identity(d, eta):
     # H = I, standard Gaussian B: A = (1 - eta) I
-    return symm(d=d, b=1, eta=eta, h_law=DeterministicLaw(np.eye(d)))
+    return symm(d=d, b=1, eta=eta, h_law=MixtureLaw((np.eye(d),)))
 
 
 def _quiet_partial_sums(spec, grid, draws, seed):
@@ -400,7 +398,7 @@ def test_gaussian_b_draw_stays_in_the_range_of_a_singular_covariance():
 
 
 def test_independent_gaussian_b_selects_symm_laws_with_gaussian_b():
-    h_law = DeterministicLaw(np.eye(2))
+    h_law = MixtureLaw((np.eye(2),))
     assert independent_gaussian_b(symm(d=2, b=1, eta=0.5, h_law=h_law))
     assert not independent_gaussian_b(half_identity_spec())
     assert not independent_gaussian_b(rank1_gauss(d=2, b=2, eta=0.5))
@@ -414,7 +412,7 @@ def test_tilted_second_moment_matches_exact_sum(d, atoms, probs):
     # alpha = 2 oracle: given the A's, R_n is N(0, sum_{k<n} Pi_k Pi_k^T),
     # so E|R_n|^2 = sum_{k<n} E||Pi_k||_F^2 = d sum_{k<n} (E a^2)^k for
     # scalar atoms a = 1 - h
-    h_law = MatrixMixtureLaw(tuple(h * np.eye(d) for h in atoms), probs)
+    h_law = MixtureLaw(tuple(h * np.eye(d) for h in atoms), probs)
     spec = symm(d=d, b=1, eta=1.0, h_law=h_law)
     ea2 = sum(p * (1 - h) ** 2 for h, p in zip(atoms, probs))
     curve = moment_growth_curve(spec, alpha=2.0, n_grid=[5, 20, 50],
@@ -425,9 +423,9 @@ def test_tilted_second_moment_matches_exact_sum(d, atoms, probs):
 
 
 @pytest.mark.parametrize("h_law", [
-    MatrixMixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5)),
-    MatrixMixtureLaw((np.diag([0.5, 1.5]), np.array([[-0.5, 0.5], [0.5, 0.5]])),
-                     (0.4, 0.6)),
+    MixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5)),
+    MixtureLaw((np.diag([0.5, 1.5]), np.array([[-0.5, 0.5], [0.5, 0.5]])),
+               (0.4, 0.6)),
 ], ids=["d1", "d2"])
 def test_gaussian_b_per_interval_matches_per_step_draws(h_law, monkeypatch):
     # two-sample KS of |R_n| at each grid point against the drawn-B path,
@@ -479,7 +477,7 @@ def test_truncation_error_bounded_by_product_norm():
         for _ in range(n_stop):  # extend to twice the stopping step
             h, b = sample_pairs(spec, 1, rng)
             a = pair_a(spec, h)
-            bound += operator_norm(shifted_pi) * np.linalg.norm(b[0])
+            bound += batch_operator_norms(shifted_pi) * np.linalg.norm(b[0])
             shifted_pi = shifted_pi @ a[0]
             state.step(a, b)
         gap = np.linalg.norm(state.r[0] - r_stop)
@@ -488,8 +486,8 @@ def test_truncation_error_bounded_by_product_norm():
 
 def test_moment_growth_deterministic_contrast():
     # A = 0.5, B = 1 (d=1): E|R_n| = 2 - 2^(1-n), flat, not linear
-    spec = symm(d=1, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(1)),
-                b_law=VectorMixtureLaw((np.ones(1),), (1.0,)))
+    spec = symm(d=1, b=1, eta=0.5, h_law=MixtureLaw((np.eye(1),)),
+                b_law=MixtureLaw((np.ones(1),), (1.0,)))
     curve = moment_growth_curve(spec, alpha=1.0, n_grid=[1, 3, 10], samples=4,
                                 seed=7)
     expected = {1: 1.0, 3: 1.75, 10: 2 - 2.0 ** -9}
@@ -499,8 +497,8 @@ def test_moment_growth_deterministic_contrast():
 
 
 def test_moment_growth_zero_forcing():
-    spec = symm(d=1, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(1)),
-                b_law=VectorMixtureLaw((np.zeros(1),), (1.0,)))
+    spec = symm(d=1, b=1, eta=0.5, h_law=MixtureLaw((np.eye(1),)),
+                b_law=MixtureLaw((np.zeros(1),), (1.0,)))
     curve = moment_growth_curve(spec, alpha=1.3, n_grid=[2, 5], samples=3, seed=8)
     assert all(est.mean == 0.0 for _, est in curve)
 
@@ -533,25 +531,25 @@ def test_partial_sums_repeated_grid_point_and_bad_grid():
 
 def test_finite_iteration_tail_bounded_support():
     # n=1 with bounded A, B: no exceedances beyond the support bound
-    h_law = MatrixMixtureLaw((0.5 * np.eye(1), 1.5 * np.eye(1)), (0.5, 0.5))
+    h_law = MixtureLaw((0.5 * np.eye(1), 1.5 * np.eye(1)), (0.5, 0.5))
     spec = symm(d=1, b=1, eta=1.0, h_law=h_law,
-                b_law=VectorMixtureLaw((np.ones(1), -np.ones(1)), (0.5, 0.5)))
-    report = finite_iteration_tail(spec, alpha=1.0, epsilon=0.5, n=1,
+                b_law=MixtureLaw((np.ones(1), -np.ones(1)), (0.5, 0.5)))
+    report = finite_iteration_tail(spec, n=1,
                                    t_grid=[0.5, 0.9, 1.01, 2.0], samples=2000,
                                    seed=10)
     assert report.exceedance[report.t_grid > 1.0].max(initial=0.0) == 0.0
     # t -> 0+: exceedance approaches 1
-    report_low = finite_iteration_tail(spec, alpha=1.0, epsilon=0.5, n=1,
+    report_low = finite_iteration_tail(spec, n=1,
                                        t_grid=[1e-9, 0.5], samples=2000, seed=10)
     assert report_low.exceedance[0] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_finite_iteration_tail_slope_mixture():
-    h_law = MatrixMixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
+    h_law = MixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
     spec = symm(d=1, b=1, eta=1.0, h_law=h_law)
     batch = partial_sum_norms(spec, [20], 100_000, mc.substream(11))[:, 0]
     t_hi = np.quantile(batch, 1 - 100 / len(batch))
-    report = finite_iteration_tail(spec, alpha=1.0, epsilon=0.5, n=20,
+    report = finite_iteration_tail(spec, n=20,
                                    t_grid=np.geomspace(t_hi / 10, t_hi, 10),
                                    samples=100_000, seed=11)
     assert report.slope <= -1.3
@@ -585,7 +583,7 @@ def test_moment_curve_matches_exact_path_enumeration():
     # sqrt(2/pi) E_paths sqrt(sum_k W_k) with W multiplying over a^2 in
     # {0.25, 2.25}. Enumerating all 2^n paths gives an exact oracle; frozen
     # values below were computed by that enumeration.
-    h_law = MatrixMixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
+    h_law = MixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
     spec = symm(d=1, b=1, eta=1.0, h_law=h_law)
     exact = {6: 2.193636303987105, 10: 3.0262898702272323,
              14: 3.792883489256939}
@@ -624,7 +622,7 @@ def test_tilted_moment_curve_matches_enumeration_b2_mixture():
     # b = 2 summands of a two-atom law: the tilt runs over the three-point
     # multinomial sum support {1, 3, 5} with probabilities {0.09, 0.42, 0.49},
     # so A = 1 - H/2 takes the values {0.5, -0.5, -1.5}.
-    h_law = MatrixMixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.3, 0.7))
+    h_law = MixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.3, 0.7))
     spec = symm(d=1, b=2, eta=1.0, h_law=h_law)
     a_atoms = np.array([[[0.5]], [[-0.5]], [[-1.5]]])
     probs = [0.09, 0.42, 0.49]
@@ -640,7 +638,7 @@ def test_tilted_moment_curve_matches_enumeration_d2_non_scalar():
     # of A_k ... A_1 e_1, and c(x) changes with it.
     h1 = np.diag([0.5, 1.5])
     h2 = np.array([[-0.5, 0.5], [0.5, 0.5]])
-    spec = symm(d=2, b=1, eta=1.0, h_law=MatrixMixtureLaw((h1, h2), (0.4, 0.6)))
+    spec = symm(d=2, b=1, eta=1.0, h_law=MixtureLaw((h1, h2), (0.4, 0.6)))
     a_atoms = np.stack([np.eye(2) - h1, np.eye(2) - h2])
     curve = moment_growth_curve(spec, alpha=2.0, n_grid=[4, 8, 11],
                                 samples=100_000, seed=25)
@@ -655,7 +653,7 @@ def test_tilted_moment_curve_matches_enumeration_d2_non_scalar_b2():
     # probabilities {0.16, 0.48, 0.36}.
     h1 = np.diag([0.5, 1.5])
     h2 = np.array([[-0.5, 0.5], [0.5, 0.5]])
-    spec = symm(d=2, b=2, eta=1.0, h_law=MatrixMixtureLaw((h1, h2), (0.4, 0.6)))
+    spec = symm(d=2, b=2, eta=1.0, h_law=MixtureLaw((h1, h2), (0.4, 0.6)))
     tilt = AlphaTilt.for_spec(spec, 2.0)
     assert tilt is not None and not tilt.scalar
     a_atoms = np.stack([np.eye(2) - spec.xi * h for h in (2 * h1, h1 + h2, 2 * h2)])
@@ -673,20 +671,20 @@ def test_non_scalar_tilt_only_for_small_sum_support():
     limit = recursion.NON_SCALAR_TILT_FACTOR * (1 + 2)
     mats = [np.diag([0.1 * i, -0.1 * i]) for i in range(1, limit + 2)]
     at_limit = symm(d=2, b=1, eta=1.0,
-                    h_law=MatrixMixtureLaw(tuple(mats[:limit]), (1 / limit,) * limit))
+                    h_law=MixtureLaw(tuple(mats[:limit]), (1 / limit,) * limit))
     assert AlphaTilt.for_spec(at_limit, 1.0).atoms.shape[0] == limit
-    over = symm(d=2, b=1, eta=1.0, h_law=MatrixMixtureLaw(
+    over = symm(d=2, b=1, eta=1.0, h_law=MixtureLaw(
         tuple(mats), (1 / (limit + 1),) * (limit + 1)))
     assert AlphaTilt.for_spec(over, 1.0) is None
     # six atoms at b = 8 have C(13, 8) = 1287 sum support points
     six_b8 = symm(d=2, b=8, eta=1.0,
-                  h_law=MatrixMixtureLaw(tuple(mats[:6]), (1 / 6,) * 6))
+                  h_law=MixtureLaw(tuple(mats[:6]), (1 / 6,) * 6))
     assert AlphaTilt.for_spec(six_b8, 1.0) is None
     with pytest.warns(RuntimeWarning, match="plain Monte Carlo"):
         curve = moment_growth_curve(six_b8, alpha=1.0, n_grid=[3], samples=100, seed=31)
     assert curve[0][1].n == 100
     # scalar atoms are tilted at any support size h_sum_support expands
-    scalar_b8 = symm(d=2, b=8, eta=1.0, h_law=MatrixMixtureLaw(
+    scalar_b8 = symm(d=2, b=8, eta=1.0, h_law=MixtureLaw(
         tuple(0.1 * i * np.eye(2) for i in range(1, 7)), (1 / 6,) * 6))
     assert AlphaTilt.for_spec(scalar_b8, 1.0).scalar
 
@@ -712,7 +710,7 @@ def _tilted_norms(spec, alpha, grid, draws, seed):
     (0.5 * np.eye(2), 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])),  # |A x| = 0.5
 ])
 def test_tilt_with_equal_atom_norms_has_unit_weights(a_atoms):
-    h_law = MatrixMixtureLaw(tuple(np.eye(2) - a for a in a_atoms), (0.3, 0.7))
+    h_law = MixtureLaw(tuple(np.eye(2) - a for a in a_atoms), (0.3, 0.7))
     spec = symm(d=2, b=1, eta=1.0, h_law=h_law)
     _, weights = _tilted_norms(spec, 1.0, [2, 5, 9], 1000, 26)
     assert (weights == 1.0).all()
@@ -722,7 +720,7 @@ def test_tilt_weights_survive_rescaling(monkeypatch):
     # alpha = 3 tilts towards |A| = 1.5 with step ratio ~1.93, so a low
     # rescaling threshold shifts L and its sums many times on these paths;
     # the draws do not depend on it, and the weights must not either.
-    h_law = MatrixMixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
+    h_law = MixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
     spec = symm(d=1, b=1, eta=1.0, h_law=h_law)
     grid = [5, 20, 40]
     norms, weights = _tilted_norms(spec, 3.0, grid, 2000, 28)
@@ -733,7 +731,7 @@ def test_tilt_weights_survive_rescaling(monkeypatch):
 
 
 def test_partial_sums_refuse_paths_for_another_grid():
-    h_law = MatrixMixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
+    h_law = MixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
     spec = symm(d=1, b=1, eta=1.0, h_law=h_law)
     rng = mc.substream(32)
     paths = TiltedPaths(AlphaTilt.for_spec(spec, 1.0), [3, 6], 10, rng)

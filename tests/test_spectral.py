@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from heavytail import mc
 from heavytail.cli import EXIT_OK, main
-from heavytail.models import (DeterministicLaw, MatrixMixtureLaw, h_sum_support,
-                              rank1_gauss, symm)
+from heavytail.models import MixtureLaw, h_sum_support, rank1_gauss, symm
 from heavytail import spectral
 from heavytail.spectral import FirstColumnSample, ProductSample, quadrature_oracle_d1
 
@@ -49,7 +48,7 @@ def test_h_closed_form_xi_zero_is_one():
 
 def test_h_closed_form_deterministic_identity():
     # H = I, xi = 0.5: |0.5 e_1|^2 = 0.25 with zero variance
-    spec = symm(d=3, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(3)))
+    spec = symm(d=3, b=1, eta=0.5, h_law=MixtureLaw((np.eye(3),)))
     est = FirstColumnSample(spec, 10, seed=0).h(2.0)
     assert est.mean == pytest.approx(0.25, rel=1e-15)
     assert est.stderr == 0.0
@@ -70,7 +69,7 @@ def test_h_closed_form_matches_quadrature_d1():
 
 
 def test_h_closed_form_warns_off_rotation_invariance():
-    law = DeterministicLaw(np.diag([1.0, 2.0]))
+    law = MixtureLaw((np.diag([1.0, 2.0]),))
     spec = symm(d=2, b=1, eta=0.5, h_law=law)
     with pytest.warns(RuntimeWarning, match="rotation-invariant"):
         FirstColumnSample(spec, 10, seed=0).h(1.0)
@@ -105,7 +104,7 @@ def test_log_convexity_on_common_stream():
 # --- product limit -----------------------------------------------------------
 
 def test_k_product_limit_deterministic():
-    spec = symm(d=2, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(2)))
+    spec = symm(d=2, b=1, eta=0.5, h_law=MixtureLaw((np.eye(2),)))
     for s in (0.5, 1.0, 3.0):
         est = ProductSample(spec, n=7, samples=20, seed=8).k(s)
         assert est.mean == pytest.approx(0.5 ** s, rel=1e-12)
@@ -126,7 +125,7 @@ def test_k_product_limit_decreases_toward_closed_form():
 
 def test_k_product_limit_log_domain_no_overflow():
     # strongly expanding deterministic model: ||Pi_n||^s would overflow
-    spec = symm(d=1, b=1, eta=1.0, h_law=DeterministicLaw(-9.0 * np.eye(1)))
+    spec = symm(d=1, b=1, eta=1.0, h_law=MixtureLaw((-9.0 * np.eye(1),)))
     est = ProductSample(spec, n=50, samples=10, seed=10).k(30.0)
     assert est.mean == pytest.approx(10.0 ** 30, rel=1e-9)
 
@@ -143,7 +142,7 @@ def test_product_log_norms_records_the_half_length_product():
 
 
 def test_product_ratio_deterministic_and_nan_below_two():
-    spec = symm(d=2, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(2)))
+    spec = symm(d=2, b=1, eta=0.5, h_law=MixtureLaw((np.eye(2),)))
     products = ProductSample(spec, n=7, samples=20, seed=8)
     for s in (0.5, 1.0, 3.0):
         assert products.ratio(s).mean == pytest.approx(0.5 ** s, rel=1e-12)
@@ -211,7 +210,7 @@ def test_product_curve_draws_once_per_worker(grid, workers):
 # --- Lyapunov ----------------------------------------------------------------
 
 def test_lyapunov_deterministic_half():
-    spec = symm(d=2, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(2)))
+    spec = symm(d=2, b=1, eta=0.5, h_law=MixtureLaw((np.eye(2),)))
     est = FirstColumnSample(spec, 100, seed=11).gamma()
     assert est.mean == pytest.approx(np.log(0.5), rel=1e-12)
     assert est.stderr == 0.0
@@ -265,7 +264,7 @@ def test_dh_ds_at_zero_equals_gamma_same_stream():
 
 
 def test_dh_ds_deterministic():
-    spec = symm(d=2, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(2)))
+    spec = symm(d=2, b=1, eta=0.5, h_law=MixtureLaw((np.eye(2),)))
     for s in (0.5, 1.0, 2.0):
         est = FirstColumnSample(spec, 10, seed=18).dh_ds(s)
         assert est.mean == pytest.approx(0.5 ** s * np.log(0.5), rel=1e-12)
@@ -298,7 +297,7 @@ def test_spectral_curve_caps_large_s():
 
 
 def test_exact_backend_for_finite_mixture():
-    law = MatrixMixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
+    law = MixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
     spec = symm(d=1, b=1, eta=1.0, h_law=law)
     cols = FirstColumnSample(spec, 10, seed=22)
     assert cols.exact
@@ -311,8 +310,8 @@ def test_exact_backend_for_finite_mixture():
 def test_direction_on_finite_support_is_exact():
     # non-scalar atoms, b = 2: h in direction u is the weighted sum over the
     # three-point sum support of |(I - xi*H) u|^s, with stderr 0
-    law = MatrixMixtureLaw((np.diag([0.5, 2.0]), np.array([[1.0, 0.5], [0.5, 1.0]])),
-                           (0.3, 0.7))
+    law = MixtureLaw((np.diag([0.5, 2.0]), np.array([[1.0, 0.5], [0.5, 1.0]])),
+                     (0.3, 0.7))
     spec = symm(d=2, b=2, eta=0.6, h_law=law)
     u = np.array([1.0, 1.0]) / np.sqrt(2.0)
     cols = FirstColumnSample(spec, 10, seed=23, direction=[1.0, 1.0])
@@ -338,7 +337,7 @@ def test_subadditive_stderr_scaling():
 
 def test_zero_norm_atom_excluded_with_warning():
     # deterministic H = 2I at xi = 0.5 makes (I - xi H) e_1 exactly zero
-    spec = symm(d=1, b=1, eta=0.5, h_law=DeterministicLaw(2.0 * np.eye(1)))
+    spec = symm(d=1, b=1, eta=0.5, h_law=MixtureLaw((2.0 * np.eye(1),)))
     cols = FirstColumnSample(spec, 10, seed=23)
     with pytest.warns(RuntimeWarning, match="excluded"):
         est = cols.gamma()
@@ -416,5 +415,5 @@ def test_one_draw_monte_carlo_estimates_have_nan_stderr():
     assert all(np.isnan(e.stderr) for e in (cols.h(1.0), cols.gamma(), cols.mean_h11()))
     prod = ProductSample(rank1_gauss(2, 8, 0.3), 4, 1, seed=0)
     assert all(np.isnan(e.stderr) for e in (prod.k(1.0), prod.ratio(1.0), prod.gamma()))
-    exact = FirstColumnSample(symm(1, 1, 0.5, DeterministicLaw(np.eye(1))), 1, seed=0)
+    exact = FirstColumnSample(symm(1, 1, 0.5, MixtureLaw((np.eye(1),))), 1, seed=0)
     assert exact.h(1.0).stderr == 0.0

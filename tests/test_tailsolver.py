@@ -4,8 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heavytail.models import (DeterministicLaw, MatrixMixtureLaw, ModelSpec,
-                              Variant, VectorMixtureLaw, rank1_gauss, symm)
+from heavytail.models import MixtureLaw, ModelSpec, Variant, rank1_gauss, symm
 from heavytail import tailsolver
 from heavytail.spectral import FirstColumnSample, quadrature_oracle_d1
 from heavytail.tailsolver import (XI1_REFINE_SAMPLES, XI1_REFINE_WINDOW,
@@ -15,7 +14,7 @@ from heavytail.tailsolver import (XI1_REFINE_SAMPLES, XI1_REFINE_WINDOW,
 
 
 def mixture_spec(eta=1.0, b=1):
-    law = MatrixMixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
+    law = MixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
     return symm(d=1, b=b, eta=eta, h_law=law)
 
 
@@ -30,14 +29,14 @@ def test_mixture_alpha_exact():
 
 def test_deterministic_contraction_has_no_root():
     # H = I, xi = 0.5: h(s) = 0.5^s < 1 for all s > 0
-    spec = symm(d=1, b=1, eta=0.5, h_law=DeterministicLaw(np.eye(1)))
+    spec = symm(d=1, b=1, eta=0.5, h_law=MixtureLaw((np.eye(1),)))
     solve = solve_alpha(FirstColumnSample(spec, 100, seed=1))
     assert solve.status is SolveStatus.NO_ROOT_BELOW_S_MAX
 
 
 def test_gamma_non_negative_status():
     # H = -I (expanding): gamma = log|1 + xi| > 0
-    spec = symm(d=1, b=1, eta=0.5, h_law=DeterministicLaw(-np.eye(1)))
+    spec = symm(d=1, b=1, eta=0.5, h_law=MixtureLaw((-np.eye(1),)))
     solve = solve_alpha(FirstColumnSample(spec, 100, seed=2))
     assert solve.status is SolveStatus.GAMMA_NON_NEGATIVE
     assert solve.gamma >= 0
@@ -71,13 +70,13 @@ def test_xi1_mixture_exact():
 def test_xi1_deterministic_scalar():
     # H = c: h(xi, 1) = |1 - xi c|, so xi_1 = 2/c
     for c in (0.5, 2.0):
-        spec = symm(d=1, b=1, eta=1.0, h_law=DeterministicLaw(c * np.eye(1)))
+        spec = symm(d=1, b=1, eta=1.0, h_law=MixtureLaw((c * np.eye(1),)))
         xi1 = solve_xi1(FirstColumnSample(spec, 10, seed=6))
         assert xi1 == pytest.approx(2 / c, abs=1e-3)
 
 
 def test_xi1_requires_positive_mean_h11():
-    spec = symm(d=1, b=1, eta=1.0, h_law=DeterministicLaw(-np.eye(1)))
+    spec = symm(d=1, b=1, eta=1.0, h_law=MixtureLaw((-np.eye(1),)))
     with pytest.raises(RangeError):
         solve_xi1(FirstColumnSample(spec, 10, seed=7))
 
@@ -197,7 +196,7 @@ def test_root_found_when_a_term_overflows_at_s_max():
     # signs differ and the root of p (1e11 + 1)^s + (1 - p) 0.5^s = 1 is found
     from scipy.optimize import brentq
     p = 1e-6
-    law = MatrixMixtureLaw(([[-1e11]], [[0.5]]), (p, 1 - p))
+    law = MixtureLaw(([[-1e11]], [[0.5]]), (p, 1 - p))
     exact = brentq(lambda s: p * (1e11 + 1) ** s + (1 - p) * 0.5 ** s - 1.0,
                    0.1, 1.0, xtol=1e-15)
     with warnings.catch_warnings(record=True) as caught:
@@ -233,7 +232,7 @@ def test_small_xi_exceeds_s_max():
 
 # Non-commuting diagonal atoms: h along e_1 is not k(s). At eta = 1.9 the
 # e_1 Lyapunov value is negative while the recursion's is positive.
-NOT_INVARIANT = symm(d=2, b=1, eta=0.5, h_law=MatrixMixtureLaw(
+NOT_INVARIANT = symm(d=2, b=1, eta=0.5, h_law=MixtureLaw(
     (np.diag([1.0, 3.0]), np.diag([0.2, 0.1])), (0.5, 0.5)))
 
 
@@ -253,7 +252,7 @@ def test_solvers_warn_on_a_law_that_is_not_rotation_invariant(eta):
 
 @pytest.mark.parametrize("spec", [
     rank1_gauss(2, 8, 1.5), mixture_spec(),
-    ModelSpec(Variant.RANK1, d=1, b=1, eta=1.0, a_law=VectorMixtureLaw(
+    ModelSpec(Variant.RANK1, d=1, b=1, eta=1.0, a_law=MixtureLaw(
         (np.array([1.0]), np.array([-1.0]), np.array([2.0])), (0.4, 0.4, 0.2)))],
     ids=["rank1gauss", "d1-symm-mixture", "d1-rank1-mixture"])
 def test_solvers_silent_on_rotation_invariant_laws(spec):
@@ -378,7 +377,7 @@ def test_alpha_monotone_in_eta_and_batch():
 
 def test_small_root_bracketed_below_first_grid_step():
     # rare huge expansion atom pushes the root well below the coarse scan
-    law = MatrixMixtureLaw((1.5 * np.eye(1), 1e8 * np.eye(1)), (0.995, 0.005))
+    law = MixtureLaw((1.5 * np.eye(1), 1e8 * np.eye(1)), (0.995, 0.005))
     spec = symm(d=1, b=1, eta=1.0, h_law=law)
     solve = solve_alpha(FirstColumnSample(spec, 10, seed=20))
     assert solve.status is SolveStatus.CONVERGED

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heavytail.models import DeterministicLaw, rank1_gauss, symm
+from heavytail.models import MixtureLaw, rank1_gauss, symm
 from heavytail.spectral import FirstColumnSample
 from heavytail.transferop import (PowerIterationError, build_operator,
                                   eigenfunction_representation_check,
@@ -10,7 +10,7 @@ from heavytail.transferop import (PowerIterationError, build_operator,
 
 def scaled_identity_spec(scale: float):
     # A = scale * I via a deterministic H: A = I - xi*H with H = (1-scale)/xi * I
-    return symm(d=2, b=1, eta=1.0 - scale, h_law=DeterministicLaw(np.eye(2)))
+    return symm(d=2, b=1, eta=1.0 - scale, h_law=MixtureLaw((np.eye(2),)))
 
 
 def test_identity_model_gives_identity_operator():
