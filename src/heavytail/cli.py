@@ -386,6 +386,9 @@ def _cmd_alpha(args, spec: ModelSpec) -> int:
     solve = tailsolver.solve_alpha(cols, s_max=args.s_max)
     print(f"alpha = {solve.alpha:.6g} +- {solve.stderr_alpha:.2g} "
           f"(xi = {solve.xi:.6g}, status = {solve.status.value})")
+    if solve.status is SolveStatus.FAILED:
+        print(f"error: the root of h(xi, s) = 1 in s did not converge on "
+              f"[{solve.bracket[0]:.6g}, {solve.bracket[1]:.6g}]", file=sys.stderr)
     _write_csv(args.out,
                ["xi", "alpha", "residual", "bracket_lo", "bracket_hi",
                 "stderr_alpha", "status", "gamma", "gamma_stderr"],
@@ -597,16 +600,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
-    if args.dump_config:
-        config = run_config_from_args(args, _subparser(parser, args.subcommand))
-        with open(args.dump_config, "w", encoding="utf-8") as fh:
-            fh.write(config.to_text())
     try:
+        if args.dump_config:
+            text = run_config_from_args(args, _subparser(parser, args.subcommand)).to_text()
+            with open(args.dump_config, "w", encoding="utf-8") as fh:
+                fh.write(text)
         return args.handler(args, _build_spec(args))
     except (empirics.EstimationError, transferop.PowerIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -136,6 +136,15 @@ class MixtureLaw:
         object.__setattr__(self, "atoms", stack)
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MixtureLaw):
+            return NotImplemented
+        return self.probs == other.probs and np.array_equal(self.atoms, other.atoms)
+
+    def __hash__(self) -> int:
+        # tolist() gives floats, and hash(-0.0) == hash(0.0), as == needs
+        return hash((self.atoms.shape, tuple(self.atoms.ravel().tolist()), self.probs))
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.atoms.shape[1:]

@@ -48,9 +48,9 @@ class FirstColumnSample:
     b-fold sum support with its probabilities, making every downstream value
     deterministic (stderr 0). ``v(xi) = |(I - xi*H) u|`` is recomputable for
     any xi from the frozen columns, so one sample powers whole s- and
-    xi-grids. The sample is safe to share between threads: each of up to
-    ``workers`` threads can evaluate at its own xi while the others' v
-    arrays stay cached.
+    xi-grids. The sample is safe to share between threads: each thread
+    keeps the v of the last xi it evaluated, so threads at different xi do
+    not evict each other's arrays.
     """
 
     def __init__(self, spec: ModelSpec, samples: int, seed: mc.Seed,
@@ -78,24 +78,21 @@ class FirstColumnSample:
             self.weights = None
         self.exact = self.weights is not None
         self.n = self.cols.shape[-1]
-        self._v_cache: dict[float, np.ndarray] = {}  # least recently used first
-        self._v_lock = threading.Lock()
+        self._last_v = threading.local()  # per thread: (xi, v) of its last xi
 
     def v(self, xi: float) -> np.ndarray:
         """|(I - xi*H) u| per frozen draw, read-only.
 
-        The arrays of the ``workers`` most recently used xi values are kept,
-        so a solve at one xi computes v once however many s it evaluates.
+        Each thread keeps the array of the last xi it asked for, so a solve
+        at one xi computes v once however many s it evaluates. A thread's
+        array is freed when it asks for another xi or when the thread ends.
         """
         xi = float(xi)
-        with self._v_lock:
-            cached = self._v_cache.pop(xi, None)
-            if cached is not None:
-                self._v_cache[xi] = cached
-                return cached
-            # evict first, so the new array does not add to the old ones
-            while len(self._v_cache) >= self.workers:
-                del self._v_cache[next(iter(self._v_cache))]
+        pair = getattr(self._last_v, "pair", None)
+        if pair is not None and pair[0] == xi:
+            return pair[1]
+        # free the old array first, so the new one does not add to it
+        self._last_v.pair = pair = None
         # row by row in place: the same sum, in the same order, as
         # sqrt(((u[:, None] - xi * cols) ** 2).sum(axis=0)), with one (n,)
         # temporary in place of two (d, n) ones
@@ -106,10 +103,7 @@ class FirstColumnSample:
             out += np.square(term, out=term)
         np.sqrt(out, out=out)
         out.flags.writeable = False
-        with self._v_lock:
-            self._v_cache[xi] = out
-            while len(self._v_cache) > self.workers:
-                del self._v_cache[next(iter(self._v_cache))]
+        self._last_v.pair = (xi, out)
         return out
 
     def _moment(self, values: np.ndarray, tag: str) -> mc.McEstimate:

@@ -14,7 +14,8 @@ v_i = |(I - xi*H_i) u| is the norm of an affine function of xi, so h(., 1)
 is convex in xi with h(0, 1) = 1. The set where h < 1 is therefore an
 interval starting at 0, and the signs of h - 1 at the two ends of the search
 interval decide whether a root exists on it, and that it is unique. When
-they differ, ``scipy.optimize.brentq`` finds it.
+they differ, ``scipy.optimize.brentq`` finds it. ``alpha_curve`` solves
+xi_1 and all its points on one draw, so its alphas and xi_1 agree.
 """
 
 from __future__ import annotations
@@ -30,15 +31,12 @@ from . import mc
 from .models import ModelSpec
 from .spectral import S_MAX_DEFAULT, FirstColumnSample
 
-XI1_REFINE_WINDOW = 0.05   # within 5% of xi_1 the root is shallow; refine
-XI1_REFINE_SAMPLES = 4     # sample multiplier inside the window
-
 
 class SolveStatus(str, Enum):
     CONVERGED = "converged"
     NO_ROOT_BELOW_S_MAX = "no_root_below_s_max"
     GAMMA_NON_NEGATIVE = "gamma_non_negative"
-    FAILED = "failed"              # the solver raised; recorded by alpha_curve
+    FAILED = "failed"              # brentq did not converge, or the solve raised
 
 
 class RangeError(RuntimeError):
@@ -76,17 +74,18 @@ def solve_alpha(cols: FirstColumnSample, s_max: float = S_MAX_DEFAULT,
     root exists, by convexity). Otherwise, if h is below 1 at
     s_lo = min(1e-4, s_max / 2) and at least 1 at s_max, brentq solves on
     [s_lo, s_max] and ``bracket`` is that interval; if not, the status is
-    no_root_below_s_max. A term |(I - xi*H) u|^s that overflows counts as
-    +inf. stderr_alpha propagates the Monte-Carlo uncertainty of h through
-    the local slope: stderr(h at root) / |dh/ds at root|.
+    no_root_below_s_max; if brentq does not converge on that interval (an
+    end value can be +inf: a term |(I - xi*H) u|^s that overflows counts as
+    +inf), it is failed. stderr_alpha propagates the Monte-Carlo uncertainty
+    of h through the local slope: stderr(h at root) / |dh/ds at root|.
     """
     xi = cols.spec.xi if xi is None else xi
     gam = cols.gamma(xi)
 
-    def no_root(status: SolveStatus) -> AlphaSolve:
-        return AlphaSolve(xi=xi, alpha=np.nan, residual=np.nan,
-                          bracket=(np.nan, np.nan), stderr_alpha=np.nan,
-                          status=status, gamma=gam.mean, gamma_stderr=gam.stderr)
+    def no_root(status: SolveStatus, bracket=(np.nan, np.nan)) -> AlphaSolve:
+        return AlphaSolve(xi=xi, alpha=np.nan, residual=np.nan, bracket=bracket,
+                          stderr_alpha=np.nan, status=status, gamma=gam.mean,
+                          gamma_stderr=gam.stderr)
 
     if gam.mean >= 3.0 * gam.stderr:
         return no_root(SolveStatus.GAMMA_NON_NEGATIVE)
@@ -98,7 +97,9 @@ def solve_alpha(cols: FirstColumnSample, s_max: float = S_MAX_DEFAULT,
     lo, hi = min(1e-4, s_max / 2), float(s_max)
     if not f(lo) < 0 <= f(hi):
         return no_root(SolveStatus.NO_ROOT_BELOW_S_MAX)
-    root = brentq(f, lo, hi)
+    root, info = brentq(f, lo, hi, full_output=True, disp=False)
+    if not info.converged:
+        return no_root(SolveStatus.FAILED, (lo, hi))
     h_at = cols.h(root, xi)
     slope = cols.dh_ds(root, xi).mean
     stderr_alpha = h_at.stderr / abs(slope) if slope else np.inf
@@ -137,27 +138,22 @@ def alpha_curve(spec: ModelSpec, xi_grid, samples: int = 200_000, seed: int = 0,
                 workers: int | None = None) -> AlphaCurve:
     """alpha(xi) over a xi-grid, with xi_1 and a strict-decrease report.
 
-    Every solve shares one frozen draw (common random numbers across xi):
-    xi_1 and the points outside the refine window use ``samples`` columns
-    from ``seed``. Within 5% of xi_1 the implicit function is badly
-    conditioned (the slope of h at s=1 vanishes), so those points share one
-    sample four times as large, drawn from the same seed, and only if some
-    point lies in the window.
+    xi_1 and every grid point are solved on one frozen draw of ``samples``
+    columns from ``seed`` (common random numbers across xi). On that draw
+    h(xi, s) is convex in s and in xi, so alpha - 1 has the sign of
+    xi_1 - xi, and the converged alphas fall strictly as xi grows.
 
     The points are solved on ``workers`` threads. Each depends only on the
-    frozen samples and xi_1, so the curve does not depend on scheduling.
+    frozen sample, so the curve does not depend on scheduling.
     """
     xi_grid = tuple(float(x) for x in xi_grid)
     cols = FirstColumnSample(spec, samples, seed, workers)
     xi1 = solve_xi1(cols)
-    near = [abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1 for xi in xi_grid]
-    refined = (FirstColumnSample(spec, samples * XI1_REFINE_SAMPLES, seed, workers)
-               if any(near) else None)
 
     def point(i: int) -> AlphaSolve:
         xi = xi_grid[i]
         try:
-            return solve_alpha(refined if near[i] else cols, xi=xi)
+            return solve_alpha(cols, xi=xi)
         except (RangeError, ValueError, ArithmeticError) as exc:
             # a numerical failure is recorded and the curve continues; any
             # other exception is a bug and propagates
@@ -263,8 +259,10 @@ def marching_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     """Isoline segments of z(x, y) at ``level``, chained into polylines.
 
     z is indexed [i, j] = (x[i], y[j]). Cells containing NaNs are skipped.
-    Saddle cells are disambiguated by the cell-center average. Returns
-    polylines as (k, 2) arrays of (x, y) points.
+    Saddle cells are disambiguated by the cell-center average. Segments are
+    chained where they cross the same grid edge, so a loop of any size
+    closes, ending where it starts. Returns polylines as (k, 2) arrays of
+    (x, y) points.
     """
     segments = []
     for i in range(len(x) - 1):
@@ -272,7 +270,8 @@ def marching_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray,
             corners = [z[i, j], z[i + 1, j], z[i + 1, j + 1], z[i, j + 1]]
             if any(not np.isfinite(c) for c in corners):
                 continue
-            pts = [(x[i], y[j]), (x[i + 1], y[j]), (x[i + 1], y[j + 1]), (x[i], y[j + 1])]
+            nodes = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            pts = [(x[a], y[b]) for a, b in nodes]
             idx = 0
             for k, c in enumerate(corners):
                 if c > level:
@@ -280,10 +279,12 @@ def marching_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray,
             if idx in (0, 15):
                 continue
 
-            def cross(e1, e2):
-                a = _interp(pts[e1[0]], pts[e1[1]], corners[e1[0]], corners[e1[1]], level)
-                b = _interp(pts[e2[0]], pts[e2[1]], corners[e2[0]], corners[e2[1]], level)
-                segments.append((a, b))
+            def cross(*edges):
+                # each end: (the grid edge it crosses, the crossing point)
+                segments.append(tuple(
+                    (frozenset((nodes[p], nodes[q])),
+                     _interp(pts[p], pts[q], corners[p], corners[q], level))
+                    for p, q in edges))
 
             if idx in (5, 10):  # saddle: split by center value
                 center = sum(corners) / 4.0
@@ -303,39 +304,30 @@ def marching_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray,
 
 
 def _chain_segments(segments) -> tuple[np.ndarray, ...]:
-    def key(p):
-        return (round(p[0], 9), round(p[1], 9))
-
-    # zero-length segments arise when the level passes exactly through a
-    # grid node; they carry no geometry and break endpoint chaining
-    segments = [(a, b) for a, b in segments if key(a) != key(b)]
-    unused = list(range(len(segments)))
-    by_end: dict = {}
-    for si in unused:
-        a, b = segments[si]
-        by_end.setdefault(key(a), []).append(si)
-        by_end.setdefault(key(b), []).append(si)
+    # a grid edge is crossed by the segments of at most two cells
+    by_edge: dict = {}
+    for si, ends in enumerate(segments):
+        for edge, _ in ends:
+            by_edge.setdefault(edge, []).append(si)
     seen = set()
     polylines = []
-    for si in unused:
+    for si in range(len(segments)):
         if si in seen:
             continue
         seen.add(si)
-        a, b = segments[si]
-        chain = [a, b]
+        chain = list(segments[si])
         for grow_head in (False, True):
             while True:
                 tip = chain[0] if grow_head else chain[-1]
-                cands = [c for c in by_end.get(key(tip), []) if c not in seen]
+                cands = [c for c in by_edge[tip[0]] if c not in seen]
                 if not cands:
                     break
-                ci = cands[0]
-                seen.add(ci)
-                ca, cb = segments[ci]
-                nxt = cb if key(ca) == key(tip) else ca
+                seen.add(cands[0])
+                ca, cb = segments[cands[0]]
+                nxt = cb if ca[0] == tip[0] else ca
                 if grow_head:
                     chain.insert(0, nxt)
                 else:
                     chain.append(nxt)
-        polylines.append(np.asarray(chain))
+        polylines.append(np.asarray([point for _, point in chain]))
     return tuple(polylines)

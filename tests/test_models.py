@@ -186,6 +186,19 @@ def test_law_file_round_trip_semantics():
     assert spec2.eta == 0.25
 
 
+def test_specs_with_a_mixture_law_compare_and_hash_by_value():
+    first, second = spec_from_law_text(MIX_LAW_TEXT), spec_from_law_text(MIX_LAW_TEXT)
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    for changed in (MIX_LAW_TEXT.replace("[[2.5]]", "[[2.75]]"),
+                    MIX_LAW_TEXT.replace("0.5, 0.5", "0.25, 0.75")):
+        assert spec_from_law_text(changed) != first
+    # atoms that differ only in the sign of a zero are equal, so hash equal
+    zero, minus_zero = (spec_from_law_text(MIX_LAW_TEXT.replace("[[0.5]]", z))
+                        for z in ("[[0.0]]", "[[-0.0]]"))
+    assert zero == minus_zero and hash(zero) == hash(minus_zero)
+
+
 def test_law_file_bad_probs_rejected():
     bad = MIX_LAW_TEXT.replace("0.5, 0.5", "0.5, 0.6")
     with pytest.raises(ConfigurationError):

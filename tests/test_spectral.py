@@ -344,7 +344,7 @@ def test_zero_norm_atom_excluded_with_warning():
     assert est.skipped == 1
 
 
-# --- v(xi), kept per xi ------------------------------------------------------
+# --- v(xi), kept per thread ---------------------------------------------------
 
 def _v_reference(cols, xi):
     return np.sqrt(((cols.u[:, None] - xi * cols.cols) ** 2).sum(axis=0))
@@ -371,25 +371,30 @@ def test_v_retains_at_most_workers_arrays():
     refs = [weakref.ref(cols.v(xi)) for xi in np.linspace(0.01, 0.4, 40)]
     gc.collect()
     alive = [r for r in refs if r() is not None]
-    assert len(alive) <= cols.workers
+    assert len(alive) == 1  # one thread keeps the array of its last xi only
     assert cols.v(0.4) is alive[-1]()  # the most recent xi is kept
 
 
 def test_v_concurrent_distinct_xi_from_threads():
-    # more threads than cached entries, with frequent thread switches: every
-    # call must still return the values of its own xi
+    # more threads than workers, with frequent thread switches: every call
+    # must still return the values of its own xi, and a thread's arrays are
+    # freed once it has ended
+    import gc
     import sys
     import threading
+    import weakref
 
     cols = FirstColumnSample(rank1_gauss(2, 8, 1.5), 3000, seed=43, workers=2)
     grids = [np.linspace(0.01, 0.4, 25) + k * 1e-3 for k in range(6)]
     want = {xi: _v_reference(cols, xi) for g in grids for xi in g}
-    errors = []
+    errors, refs = [], []
 
     def sweep(grid):
         for _ in range(3):
             for xi in grid:
-                if not np.array_equal(cols.v(xi), want[xi]):
+                got = cols.v(xi)
+                refs.append(weakref.ref(got))
+                if not np.array_equal(got, want[xi]):
                     errors.append(xi)
 
     interval = sys.getswitchinterval()
@@ -404,7 +409,10 @@ def test_v_concurrent_distinct_xi_from_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(cols._v_cache) <= cols.workers
+    # no v array that a joined thread was given is still alive
+    gc.collect()
+    assert len(refs) == 6 * 3 * 25
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_one_draw_monte_carlo_estimates_have_nan_stderr():

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heavytail.models import MixtureLaw, ModelSpec, Variant, rank1_gauss, symm
 from heavytail import tailsolver
 from heavytail.spectral import FirstColumnSample, quadrature_oracle_d1
-from heavytail.tailsolver import (XI1_REFINE_SAMPLES, XI1_REFINE_WINDOW,
-                                  RangeError, SolveStatus, alpha_curve,
+from heavytail.tailsolver import (RangeError, SolveStatus, alpha_curve,
                                   contour_grid, marching_squares, solve_alpha,
                                   solve_xi1)
 
@@ -127,9 +128,9 @@ def test_alpha_curve_propagates_programming_errors(monkeypatch):
         alpha_curve(mixture_spec(), [0.5, 0.9], samples=100, seed=8)
 
 
-def test_alpha_curve_shares_one_sample_outside_and_one_inside_window(monkeypatch):
-    # continuous law: xi_1 and every point outside the refine window are
-    # solved on the same frozen columns; the points inside share one 4x sample
+def test_alpha_curve_solves_every_point_on_one_sample(monkeypatch):
+    # continuous law: xi_1 and every point, those within 5% of xi_1
+    # included, are solved on the same frozen columns
     built = []
 
     class Recorded(FirstColumnSample):
@@ -141,41 +142,45 @@ def test_alpha_curve_shares_one_sample_outside_and_one_inside_window(monkeypatch
     spec = rank1_gauss(d=2, b=8, eta=1.5)
     grid = [0.12, 0.16, 0.205, 0.21, 0.215, 0.24]
     curve = alpha_curve(spec, grid, samples=20_000, seed=40)
-    assert built == [(20_000, 40), (20_000 * XI1_REFINE_SAMPLES, 40)]
+    assert built == [(20_000, 40)]
 
     cols = FirstColumnSample(spec, 20_000, seed=40)
-    refined = FirstColumnSample(spec, 20_000 * XI1_REFINE_SAMPLES, seed=40)
     assert curve.xi1 == solve_xi1(cols)
-    inside = [abs(xi - curve.xi1) <= XI1_REFINE_WINDOW * curve.xi1 for xi in grid]
+    inside = [abs(xi - curve.xi1) <= 0.05 * curve.xi1 for xi in grid]
     assert inside == [False, False, True, True, True, False]
-    for xi, near, got in zip(grid, inside, curve.solves):
-        want = solve_alpha(refined if near else cols, xi=xi)
+    for xi, got in zip(grid, curve.solves):
         assert got.status is SolveStatus.CONVERGED
-        assert got == want
+        assert got == solve_alpha(cols, xi=xi)
 
 
 def test_alpha_curve_on_two_workers_equals_serial_solves():
     # the points are solved on a thread pool; each must equal the serial
-    # solve on the same frozen samples, field by field (NaN-aware: reprs
+    # solve on the same frozen sample, field by field (NaN-aware: reprs
     # print every float to round trip). The grid covers every status.
     spec = rank1_gauss(d=2, b=8, eta=1.5)
     grid = [0.02, 0.12, 0.205, 0.21, 0.3]
     curve = alpha_curve(spec, grid, samples=20_000, seed=40, workers=2)
     cols = FirstColumnSample(spec, 20_000, seed=40, workers=2)
-    refined = FirstColumnSample(spec, 20_000 * XI1_REFINE_SAMPLES, seed=40, workers=2)
-    xi1 = solve_xi1(cols)
-    assert curve.xi1 == xi1
-    want = []
-    for xi in grid:
-        if abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1:
-            want.append(solve_alpha(refined, xi=xi))
-        else:
-            want.append(solve_alpha(cols, xi=xi))
+    assert curve.xi1 == solve_xi1(cols)
+    want = [solve_alpha(cols, xi=xi) for xi in grid]
     assert [repr(s) for s in curve.solves] == [repr(s) for s in want]
     assert [s.status for s in curve.solves] == [
         SolveStatus.NO_ROOT_BELOW_S_MAX, SolveStatus.CONVERGED, SolveStatus.CONVERGED,
         SolveStatus.CONVERGED, SolveStatus.GAMMA_NON_NEGATIVE]
-    assert sum(abs(xi - xi1) <= XI1_REFINE_WINDOW * xi1 for xi in grid) == 2
+
+
+def test_alpha_curve_agrees_with_xi1_on_both_sides():
+    # on one frozen sample, alpha - 1 has the sign of xi_1 - xi, and the
+    # converged alphas fall strictly, also at 0.21, 3e-5 past xi_1 =
+    # 0.20997, where alpha is 1 within its stderr
+    curve = alpha_curve(rank1_gauss(d=2, b=8, eta=1.5), [0.205, 0.21, 0.215],
+                        samples=200_000, seed=2, workers=2)
+    converged = [s for s in curve.solves if s.status is SolveStatus.CONVERGED]
+    assert [s.xi for s in converged] == [0.205, 0.21, 0.215]
+    for s in converged:
+        assert np.sign(s.alpha - 1.0) == np.sign(curve.xi1 - s.xi)
+    alphas = [s.alpha for s in converged]
+    assert all(a > b for a, b in zip(alphas, alphas[1:]))
 
 
 def test_alpha_below_one_past_xi1():
@@ -210,7 +215,8 @@ def test_root_found_when_a_term_overflows_at_s_max():
 def test_alpha_curve_keeps_the_values_of_the_scan_and_polish_solver():
     # statuses, alphas and xi_1 as the earlier scan, bisection and Newton /
     # secant polish solver gave them on this sample; the grid covers every
-    # status and the refine window (0.205 and 0.21)
+    # status and two points within 5% of xi_1 (0.205 and 0.21), pinned as
+    # the brentq solver gave them on this same sample
     curve = alpha_curve(rank1_gauss(d=2, b=8, eta=1.5), [0.02, 0.12, 0.205, 0.21, 0.3],
                         samples=20_000, seed=40, workers=1)
     assert abs(curve.xi1 - 0.210454023237162) <= 1e-8
@@ -218,8 +224,8 @@ def test_alpha_curve_keeps_the_values_of_the_scan_and_polish_solver():
         SolveStatus.NO_ROOT_BELOW_S_MAX, SolveStatus.CONVERGED, SolveStatus.CONVERGED,
         SolveStatus.CONVERGED, SolveStatus.GAMMA_NON_NEGATIVE]
     alphas = [s.alpha for s in curve.solves[1:4]]
-    assert np.allclose(alphas, [6.178295879464162, 1.1709251581503617,
-                                1.0180288347495876], rtol=0, atol=1e-8)
+    assert np.allclose(alphas, [6.178295879464162, 1.1660874680063933,
+                                1.0134294495128635], rtol=0, atol=1e-8)
 
 
 def test_small_xi_exceeds_s_max():
@@ -340,6 +346,42 @@ def test_marching_squares_circle():
     # a closed curve chains into one polyline
     assert len(lines) == 1
     assert len(pts) > 50
+
+
+_GAPS = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x_gaps=_GAPS, y_gaps=_GAPS, cu=st.floats(0, 1), cv=st.floats(0, 1),
+       t=st.floats(0, 1, exclude_min=True, exclude_max=True))
+def test_marching_squares_closes_the_level_set_of_a_convex_bump(x_gaps, y_gaps, cu,
+                                                                cv, t):
+    # z = (x - cx)^2 + (y - cy)^2 on a random rectilinear grid, at a level
+    # between its minimum and its minimum on the grid's boundary: the nodes
+    # below the level are one convex, 4-connected block with no saddle cell,
+    # so the isoline is one closed polyline
+    x, y = np.cumsum([0.0, *x_gaps]), np.cumsum([0.0, *y_gaps])
+    # a center between the first and last interior grid lines puts the
+    # minimum at an interior node, strictly below every boundary node
+    cx, cy = x[1] + cu * (x[-2] - x[1]), y[1] + cv * (y[-2] - y[1])
+    z = (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2
+    rim = np.concatenate([z[0], z[-1], z[:, 0], z[:, -1]])
+    level = z.min() + t * (rim.min() - z.min())
+    assume(z.min() < level < rim.min())
+    lines = marching_squares(x, y, z, level)
+    assert len(lines) == 1
+    line = lines[0]
+    assert np.allclose(line[0], line[-1], rtol=0, atol=1e-9)
+    # every vertex lies on a grid edge, where z interpolates to the level
+    for px, py in line:
+        if px in x:
+            i, j = int(np.flatnonzero(x == px)[0]), np.searchsorted(y, py) - 1
+            along, ends = (py - y[j]) / (y[j + 1] - y[j]), (z[i, j], z[i, j + 1])
+        else:
+            j, i = int(np.flatnonzero(y == py)[0]), np.searchsorted(x, px) - 1
+            along, ends = (px - x[i]) / (x[i + 1] - x[i]), (z[i, j], z[i + 1, j])
+        assert 0 <= along <= 1
+        assert ends[0] + along * (ends[1] - ends[0]) == pytest.approx(level, abs=1e-9)
 
 
 def test_marching_squares_linear_exact():
