@@ -50,8 +50,9 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
             dump(fh)
 
 
-def _parse_grid(text: str) -> list[float]:
-    """'start:step:stop' (inclusive stop) or a comma list of finite values."""
+def _parse_grid(text: str, flag: str = "grid") -> list[float]:
+    """'start:step:stop' (inclusive stop) or a non-empty comma list of finite
+    values; ``flag`` names the grid in the error for an empty one."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -67,6 +68,8 @@ def _parse_grid(text: str) -> list[float]:
     values = [float(p) for p in text.replace(",", " ").split()]
     if not all(map(math.isfinite, values)):
         raise ConfigurationError(f"grid {text!r} has a non-finite value")
+    if not values:
+        raise ConfigurationError(f"{flag} is empty; a grid needs at least one value")
     return values
 
 
@@ -89,6 +92,14 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _unit_interval_float(text: str) -> float:
+    """argparse type for a finite value strictly between 0 and 1."""
+    value = _finite_float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value:g}")
     return value
 
 
@@ -133,8 +144,7 @@ def _build_spec(args) -> ModelSpec:
 def _add_common(p: argparse.ArgumentParser, samples_default: int = 100_000) -> None:
     p.add_argument("--samples", type=_positive_int, default=samples_default)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help=f"worker count (default ${mc.WORKERS_ENV_VAR} or 1)")
+    p.add_argument("--workers", type=_positive_int, help="worker count (default 1)")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.add_argument("--dump-config", metavar="PATH",
                    help="write the effective flags as a run-config file")
@@ -157,10 +167,10 @@ def _add_command(sub, name: str, handler, samples_default: int = 100_000,
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="heavytail",
+        prog="heavytail", allow_abbrev=False,
         description="Simulation and heavy-tail diagnostics for affine stochastic "
                     "recursions of SGD type (A = I - xi*H).")
-    parser.add_argument("--config", help="run-config file providing flag defaults")
+    parser.add_argument("--config", help="run-config file of flag values (flags override)")
     sub = parser.add_subparsers(dest="subcommand", required=False)
 
     p = _add_command(sub, "simulate", _cmd_simulate, 1000,
@@ -186,12 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "alphacurve", _cmd_alphacurve, 200_000,
                      help="alpha(xi) over a xi-grid, with xi_1")
-    p.add_argument("--xi-grid", required=False)
+    p.add_argument("--xi-grid", required=True)
 
     p = _add_command(sub, "contour", _cmd_contour,
                      help="h over a (param, s) grid + h=1 isoline")
-    p.add_argument("--param", choices=["b", "eta"], required=False, default="b")
-    p.add_argument("--param-grid", required=False)
+    p.add_argument("--param", choices=["b", "eta"], default="b")
+    p.add_argument("--param-grid", required=True)
     p.add_argument("--s-grid", default="0.25:0.25:10")
     p.add_argument("--clip", type=_positive_float, default=2.0)
     p.add_argument("--svg", help="also write the heat-grid + isoline as SVG")
@@ -208,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "angular", _cmd_angular,
                      help="uniformity tests on exceedance angles (d=2)")
-    p.add_argument("--threshold-quantile", type=float, default=0.99)
-    p.add_argument("--level", type=float, default=0.01)
+    p.add_argument("--threshold-quantile", type=_unit_interval_float, default=0.99)
+    p.add_argument("--level", type=_unit_interval_float, default=0.01)
 
     p = _add_command(sub, "integrability", _cmd_integrability,
                      help="negative-moment truncated-mean ladder")
     p.add_argument("--target", choices=[t.value for t in empirics.IntegrabilityTarget],
                    default="det_a")
-    p.add_argument("--delta", type=float, default=0.25)
+    p.add_argument("--delta", type=_non_negative_float, default=0.25)
     p.add_argument("--caps", default="10,100,1000,10000")
 
     p = _add_command(sub, "gausscheck", _cmd_gausscheck,
@@ -232,12 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "b-fold sum support has more than 4(b + d) points. Its stderr is "
                     "a sample stderr and can understate the error by many sigma when "
                     "alpha is near the tail index.")
-    p.add_argument("--alpha", type=_positive_float, required=False)
+    p.add_argument("--alpha", type=_positive_float, required=True)
     p.add_argument("--n-grid", default="50,100,200,400,800")
 
     p = _add_command(sub, "tailbound", _cmd_tailbound,
                      help="finite-iteration exceedance curve + slope")
-    p.add_argument("--alpha", type=_positive_float, required=False)
+    p.add_argument("--alpha", type=_positive_float, required=True)
     p.add_argument("--epsilon", type=_non_negative_float, default=0.5)
     p.add_argument("--n", type=_positive_int, default=20)
     p.add_argument("--t-grid", help="explicit t values (default: data quantiles)")
@@ -264,29 +274,21 @@ def _subparser(parser: argparse.ArgumentParser, name: str):
     return action.choices.get(name)
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Inject run-config values as subparser defaults; flags still override."""
-    probe = argparse.ArgumentParser(add_help=False)
+def _apply_config(argv: list[str]) -> list[str]:
+    """argv with the ``--config`` file read in: its values go in as
+    ``--flag=value`` tokens right after the subcommand (the file's, unless argv
+    names one), so argparse reads them exactly as the flags they name, and the
+    explicit flags, which come later, override them."""
+    probe = argparse.ArgumentParser(prog="heavytail", add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
+    known, argv = probe.parse_known_args(argv)
+    if known.config is None:
         return argv
     run_cfg = RunConfig.load(known.config)
-    argv = [a for a in argv if a != "--config" and a != known.config]
     if not argv or argv[0].startswith("-"):
         argv = [run_cfg.subcommand] + argv
-    subparser = _subparser(parser, argv[0])
-    if subparser is None:
-        raise ConfigurationError(f"unknown subcommand {argv[0]!r} in config")
-    converted = {}
-    by_dest = {a.dest: a for a in subparser._actions}
-    for key, raw in run_cfg.args.items():
-        action = by_dest.get(key)
-        if action is None:
-            raise ConfigurationError(f"config key {key!r} is not a flag of {argv[0]!r}")
-        converted[key] = action.type(raw) if action.type else raw
-    subparser.set_defaults(**converted)
-    return argv
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in run_cfg.args.items()]
+    return argv[:1] + flags + argv[1:]
 
 
 def run_config_from_args(args: argparse.Namespace, subparser) -> RunConfig:
@@ -337,7 +339,7 @@ def _cmd_simulate(args, spec: ModelSpec) -> int:
 def _cmd_kcurve(args, spec: ModelSpec) -> int:
     """k(s) on one frozen sample; s above s_max is not evaluated (NaN rows
     with n_used 0), since the Monte-Carlo variance is uncontrolled there."""
-    s_grid = _parse_grid(args.s_grid)
+    s_grid = _parse_grid(args.s_grid, "--s-grid")
     s_max = spectral.S_MAX_DEFAULT
     capped = [s for s in s_grid if s > s_max]
     if capped:
@@ -399,9 +401,7 @@ def _cmd_alpha(args, spec: ModelSpec) -> int:
 
 
 def _cmd_alphacurve(args, spec: ModelSpec) -> int:
-    if not args.xi_grid:
-        raise ConfigurationError("--xi-grid is required")
-    xi_grid = _parse_grid(args.xi_grid)
+    xi_grid = _parse_grid(args.xi_grid, "--xi-grid")
     try:
         curve = tailsolver.alpha_curve(spec, xi_grid, samples=args.samples,
                                        seed=args.seed, workers=args.workers)
@@ -411,21 +411,18 @@ def _cmd_alphacurve(args, spec: ModelSpec) -> int:
     rows = [[s.xi, s.alpha, s.stderr_alpha, s.residual, s.status.value]
             for s in curve.solves]
     _write_csv(args.out, ["xi", "alpha", "stderr_alpha", "residual", "status"], rows)
-    decreasing = all(ok for _, _, ok in curve.monotonicity_report) \
-        if curve.monotonicity_report else True
+    decreasing = all(ok for _, _, ok in curve.monotonicity_report)
     print(f"xi1 = {curve.xi1:.6g}; strictly decreasing beyond uncertainty: "
           f"{decreasing}")
     return EXIT_OK
 
 
 def _cmd_contour(args, spec: ModelSpec) -> int:
-    if not args.param_grid:
-        raise ConfigurationError("--param-grid is required")
     param = args.param
-    grid = tailsolver.contour_grid(spec, param, _parse_grid(args.param_grid),
-                                   _parse_grid(args.s_grid), samples=args.samples,
-                                   seed=args.seed, workers=args.workers,
-                                   clip_level=args.clip)
+    grid = tailsolver.contour_grid(
+        spec, param, _parse_grid(args.param_grid, "--param-grid"),
+        _parse_grid(args.s_grid, "--s-grid"), samples=args.samples, seed=args.seed,
+        workers=args.workers, clip_level=args.clip)
     rows = []
     for i, p in enumerate(grid.param_grid):
         for j, s in enumerate(grid.s_grid):
@@ -473,9 +470,7 @@ def _stationary_r(spec: ModelSpec, args) -> np.ndarray:
 
 
 def _cmd_tailfit(args, spec: ModelSpec) -> int:
-    fracs = _parse_grid(args.k_fracs)
-    if not fracs:
-        raise ConfigurationError("--k-fracs is empty")
+    fracs = _parse_grid(args.k_fracs, "--k-fracs")
     fits = empirics.hill_stability_scan(row_norms(_stationary_r(spec, args)), fracs)
     rows = [[f, fit.k_order, fit.alpha_hat, fit.ci[0], fit.ci[1], fit.amplitude]
             for f, fit in zip(fracs, fits)]
@@ -509,11 +504,8 @@ def _cmd_angular(args, spec: ModelSpec) -> int:
 
 
 def _cmd_integrability(args, spec: ModelSpec) -> int:
-    caps = _parse_grid(args.caps)
-    if not caps:
-        raise ConfigurationError(f"--caps grid {args.caps!r} is empty")
-    rep = empirics.integrability_probe(spec, args.target, args.delta,
-                                       args.samples, cap_grid=caps,
+    rep = empirics.integrability_probe(spec, args.target, args.delta, args.samples,
+                                       cap_grid=_parse_grid(args.caps, "--caps"),
                                        seed=args.seed, workers=args.workers)
     rows = [[cap, mean] for cap, mean in zip(rep.cap_grid, rep.truncated_means)]
     _write_csv(args.out, ["cap", "truncated_mean"], rows)
@@ -546,9 +538,7 @@ def _cmd_gausscheck(args, spec: ModelSpec) -> int:
 
 
 def _cmd_moments(args, spec: ModelSpec) -> int:
-    if args.alpha is None:
-        raise ConfigurationError("--alpha is required (typically from the alpha solver)")
-    n_grid = _parse_grid(args.n_grid)
+    n_grid = _parse_grid(args.n_grid, "--n-grid")
     if any(n != int(n) for n in n_grid):
         raise ConfigurationError(f"--n-grid {args.n_grid!r} has a non-integer value")
     n_grid = [int(n) for n in n_grid]
@@ -560,10 +550,8 @@ def _cmd_moments(args, spec: ModelSpec) -> int:
 
 
 def _cmd_tailbound(args, spec: ModelSpec) -> int:
-    if args.alpha is None:
-        raise ConfigurationError("--alpha is required")
-    if args.t_grid:
-        t_grid = _parse_grid(args.t_grid)
+    if args.t_grid is not None:
+        t_grid = _parse_grid(args.t_grid, "--t-grid")
     else:
         # pilot pass to place the grid over the largest usable decade, whose
         # top is the 50th largest pilot value
@@ -588,8 +576,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-    except (ConfigurationError, OSError, ValueError, argparse.ArgumentTypeError) as exc:
+        argv = _apply_config(argv)
+    except (ConfigurationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     args = parser.parse_args(argv)

@@ -2,8 +2,8 @@
 
 A run file has a [run] section naming the subcommand and an [args] section
 with one key per flag (dest names, underscores). Values stay strings at this
-layer; the CLI converts them with the same converters as the flags, and
-explicit flags override file values. Values are literal (no ``%``
+layer; the CLI reads them as the flags they name, and explicit flags
+override file values. Values are literal (no ``%``
 interpolation), and ``to_text`` refuses a config whose text would not read
 back as written, so every text it returns round-trips losslessly.
 """

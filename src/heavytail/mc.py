@@ -19,14 +19,11 @@ not hidden.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-WORKERS_ENV_VAR = "HEAVYTAIL_WORKERS"
 
 # A task maps (substream, n_draws) -> array of n_draws values (1-D) or
 # n_draws rows (2-D). It must be a pure function of its substream.
@@ -53,9 +50,9 @@ class McEstimate:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else HEAVYTAIL_WORKERS, else 1."""
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+    """Worker count: ``workers``, or 1 when it is None; no environment
+    variable is read, so only the caller (the CLI's ``--workers``) sets it."""
+    workers = 1 if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers

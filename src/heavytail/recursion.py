@@ -556,11 +556,14 @@ def finite_iteration_tail(spec: ModelSpec, n: int, t_grid, samples: int, seed: i
     grid points with at least one exceedance; fewer than 50 exceedances at
     the top of that decade flags widened uncertainty.
     """
+    t_grid = np.asarray(sorted(float(t) for t in t_grid))
+    if not (t_grid.size and (t_grid > 0).all()):
+        raise ConfigurationError("the t-grid must be non-empty with every t > 0")
+
     def task(rng, m):
         return partial_sum_norms(spec, [n], m, rng)[:, 0]
 
     abs_r = mc.parallel_map(task, samples, seed, workers)
-    t_grid = np.asarray(sorted(float(t) for t in t_grid))
     counts = np.array([(abs_r > t).sum() for t in t_grid])
     exceed = counts / len(abs_r)
     top = t_grid >= t_grid[-1] / 10.0

@@ -163,24 +163,20 @@ def alpha_curve(spec: ModelSpec, xi_grid, samples: int = 200_000, seed: int = 0,
                               status=SolveStatus.FAILED)
 
     solves = mc.parallel_tasks(point, len(xi_grid), cols.workers)
+    # a no-root point has its root beyond s_max: order it as +inf; with
+    # gamma >= 0 there is no positive root: order it as 0; a failed point
+    # has no order (NaN)
+    boundary = {SolveStatus.NO_ROOT_BELOW_S_MAX: np.inf,
+                SolveStatus.GAMMA_NON_NEGATIVE: 0.0, SolveStatus.FAILED: np.nan}
     report = []
     for left, right in zip(solves, solves[1:]):
-        # a no-root point means the root lies beyond s_max: order it as +inf;
-        # a failed point has no order (NaN)
-        def effective(s: AlphaSolve) -> float:
-            if s.status is SolveStatus.CONVERGED:
-                return s.alpha
-            if s.status is SolveStatus.NO_ROOT_BELOW_S_MAX:
-                return np.inf
-            return np.nan
-        a_l, a_r = effective(left), effective(right)
-        if np.isnan(a_l) or np.isnan(a_r):
-            decreasing = False
-        elif np.isinf(a_l) or np.isinf(a_r):
-            decreasing = a_l > a_r or (np.isinf(a_l) and np.isinf(a_r))
-        else:
+        if left.status is right.status is SolveStatus.CONVERGED:
             unc = float(np.hypot(left.stderr_alpha, right.stderr_alpha))
-            decreasing = bool(a_l - a_r > unc)
+            decreasing = bool(left.alpha - right.alpha > unc)
+        else:
+            # compared exactly; two equal boundary values count as decreasing
+            a_l, a_r = (boundary.get(s.status, s.alpha) for s in (left, right))
+            decreasing = bool(a_l > a_r or (a_l == a_r and left.status is right.status))
         report.append((left.xi, right.xi, decreasing))
     return AlphaCurve(solves=tuple(solves), xi1=xi1,
                       monotonicity_report=tuple(report))

@@ -203,6 +203,20 @@ def test_unknown_subcommand_exits_2():
     ["alpha", "--model", "rank1gauss", "--eta=--"],
     ["kcurve", "--model", "rank1gauss", "--eta", "0.5", "--s-grid=--"],
     ["simulate", "--model", "rank1gauss", "--eta", "0.5", "--samples=--"],
+    ["integrability", "--model", "rank1gauss", "--eta", "0.5", "--target", "inv_norm_a",
+     "--delta", "nan"],
+    ["integrability", "--model", "rank1gauss", "--eta", "0.5", "--delta", "inf"],
+    ["integrability", "--model", "rank1gauss", "--eta", "0.5", "--delta", "-0.25"],
+    ["angular", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--level", "-1"],
+    ["angular", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--level", "0"],
+    ["angular", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--level", "1"],
+    ["angular", "--model", "rank1gauss", "--d", "2", "--eta", "0.5", "--level", "nan"],
+    ["angular", "--model", "rank1gauss", "--d", "2", "--eta", "0.5",
+     "--threshold-quantile", "0"],
+    ["angular", "--model", "rank1gauss", "--d", "2", "--eta", "0.5",
+     "--threshold-quantile", "1.5"],
+    ["angular", "--model", "rank1gauss", "--d", "2", "--eta", "0.5",
+     "--threshold-quantile", "inf"],
 ])
 def test_non_positive_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -220,6 +234,12 @@ def test_non_positive_counts_exit_2(argv, capsys):
     ["integrability", "--model", "rank1gauss", "--eta", "0.5", "--caps", ""],
     ["integrability", "--model", "rank1gauss", "--eta", "0.5", "--caps", "nan"],
     ["integrability", "--model", "rank1gauss", "--eta", "0.5", "--caps", "10,inf"],
+    ["kcurve", "--model", "rank1gauss", "--eta", "0.5", "--s-grid", ""],
+    ["alphacurve", "--model", "rank1gauss", "--eta", "0.5", "--xi-grid", ""],
+    ["contour", "--model", "rank1gauss", "--eta", "0.5", "--param-grid", ""],
+    ["tailbound", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "1", "--t-grid", ","],
+    ["tailbound", "--model", "rank1gauss", "--eta", "0.5", "--alpha", "1",
+     "--t-grid", "0,-1,1"],
 ])
 def test_non_finite_grid_value_exits_2(argv, capsys):
     assert run_cli(argv + ["--samples", "10"]) == EXIT_CONFIG
@@ -591,12 +611,12 @@ def test_no_usable_path_exits_3(cmd, short_stop_rule, capsys):
     assert "no path stopped" in err
 
 
-def test_config_non_positive_count_exits_2(tmp_path, capsys):
+def test_config_non_positive_count_exits_2(tmp_path):
     path = tmp_path / "zero.cfg"
     path.write_text(RunConfig("kcurve", {"model": "rank1gauss", "eta": "0.5",
                                          "samples": "0"}).to_text())
-    assert run_cli(["--config", path]) == EXIT_CONFIG
-    assert ">= 1" in capsys.readouterr().err
+    code, err = _exit_code(["--config", str(path)])
+    assert code == EXIT_CONFIG and ">= 1" in err
 
 
 def test_lyapunov_line(tmp_path, capsys):
@@ -897,7 +917,8 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(RunConfig("kcurve", {"bogus": "1"}).to_text())
-    assert run_cli(["--config", path]) == EXIT_CONFIG
+    code, err = _exit_code(["--config", str(path)])
+    assert code == EXIT_CONFIG and "--bogus" in err
 
 
 def test_reproduce_fig_commands_small(tmp_path, monkeypatch):
@@ -1110,3 +1131,95 @@ def test_dump_config_of_a_figure_replays(tmp_path):
     assert run_cli(["--config", cfg_path, "--out", again[0],
                     "--svg", again[1]]) == EXIT_OK
     assert [p.read_bytes() for p in first] == [p.read_bytes() for p in again]
+
+
+def _write_config(path, subcommand, args):
+    path.write_text(RunConfig(subcommand, args).to_text())
+    return str(path)
+
+
+_KCURVE_CFG = {"model": "rank1gauss", "d": "2", "b": "8", "eta": "0.3",
+               "s_grid": "0:0.5:2", "samples": "500"}
+
+
+def test_config_given_with_an_equals_sign(tmp_path):
+    path = _write_config(tmp_path / "run.cfg", "kcurve", _KCURVE_CFG)
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    assert run_cli([f"--config={path}", "--out", outs[0]]) == EXIT_OK
+    assert run_cli(["--config", path, "--out", outs[1]]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_config_dumped_over_itself_replays(tmp_path):
+    path = _write_config(tmp_path / "run.cfg", "kcurve", _KCURVE_CFG)
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    assert run_cli(["--config", path, "--s-grid", "0:1:3", "--out", outs[0],
+                    "--dump-config", path]) == EXIT_OK
+    updated = {**_KCURVE_CFG, "s_grid": "0:1:3", "out": str(outs[0])}
+    assert updated.items() <= RunConfig.load(path).args.items()
+    assert run_cli(["--config", path, "--out", outs[1]]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("subcommand,args,flag", [
+    ("alphacurve", {}, "--xi-grid"),
+    ("contour", {}, "--param-grid"),
+    ("moments", {"n_grid": "5"}, "--alpha"),
+    ("tailbound", {"t_grid": "1,2"}, "--alpha"),
+])
+def test_config_without_a_required_flag_exits_2(subcommand, args, flag, tmp_path):
+    path = _write_config(tmp_path / "run.cfg", subcommand,
+                         {"model": "rank1gauss", "eta": "0.5", "samples": "10", **args})
+    code, err = _exit_code(["--config", path])
+    assert code == EXIT_CONFIG and f"the following arguments are required: {flag}" in err
+
+
+def test_dump_made_under_heavytail_workers_replays_without_it(tmp_path, monkeypatch):
+    # the variable no longer sets the worker count, so a dump records all
+    # that shaped the run
+    path, outs = tmp_path / "run.cfg", [tmp_path / "a.csv", tmp_path / "b.csv"]
+    monkeypatch.setenv("HEAVYTAIL_WORKERS", "2")
+    assert run_cli(["kcurve", "--model", "rank1gauss", "--d", "2", "--b", "8",
+                    "--eta", "0.3", "--samples", "2000", "--out", outs[0],
+                    "--dump-config", path]) == EXIT_OK
+    monkeypatch.delenv("HEAVYTAIL_WORKERS")
+    assert run_cli(["--config", path, "--out", outs[1]]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config-vs-flags")
+
+
+def _config_vs_flags_values(fuzz_models, subcommand):
+    """Flag values by dest: valid ones, bad choices, bad counts and empty
+    grids. configparser drops a value's surrounding spaces, so the values
+    have none."""
+    own = {"kcurve": {"method": st.sampled_from(["closed", "product", "exact", "prodcut"]),
+                      "s_grid": _S_GRID, "n": _COUNT},
+           "gausscheck": {"check": st.sampled_from(["chi2", "stam", "both", "chi", "exact"])},
+           "alphacurve": {"xi_grid": _GRID}}[subcommand]
+    model = st.sampled_from([{"law_file": fuzz_models[0][1]}]
+                            + [{"model": m} for m in INLINE_MODELS])
+    values = st.fixed_dictionaries({"d": _DIM, "b": _DIM, "eta": _REAL, "samples": _COUNT,
+                                    **own})
+    return st.tuples(model, values).map(
+        lambda t: {k: v.strip() for k, v in {**t[0], **t[1]}.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), subcommand=st.sampled_from(["kcurve", "gausscheck", "alphacurve"]))
+def test_config_values_are_read_as_the_flags_they_name(fuzz_models, config_dir, data,
+                                                       subcommand):
+    values = data.draw(_config_vs_flags_values(fuzz_models, subcommand))
+    outs = [config_dir / "flags.csv", config_dir / "config.csv"]
+    for out in outs:
+        out.unlink(missing_ok=True)
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in sorted(values.items())]
+    code, err = _exit_code([subcommand, *flags, f"--out={outs[0]}"])
+    path = _write_config(config_dir / "run.cfg", subcommand, values)
+    config_code, config_err = _exit_code(["--config", path, f"--out={outs[1]}"])
+    assert config_code == code, (err, config_err)
+    if code == EXIT_OK:
+        assert outs[0].read_bytes() == outs[1].read_bytes()

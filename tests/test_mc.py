@@ -85,11 +85,11 @@ def test_blocked_draws_match_single_call():
 
 
 def test_workers_env_override(monkeypatch):
-    monkeypatch.setenv(mc.WORKERS_ENV_VAR, "3")
-    assert mc.resolve_workers(None) == 3
-    assert mc.resolve_workers(2) == 2
-    monkeypatch.delenv(mc.WORKERS_ENV_VAR)
+    # the worker count is the caller's alone: HEAVYTAIL_WORKERS, which once
+    # set it, is ignored
+    monkeypatch.setenv("HEAVYTAIL_WORKERS", "3")
     assert mc.resolve_workers(None) == 1
+    assert mc.resolve_workers(2) == 2
 
 
 @pytest.mark.parametrize("nan_every", [0, 7])

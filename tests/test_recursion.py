@@ -544,6 +544,13 @@ def test_finite_iteration_tail_bounded_support():
     assert report_low.exceedance[0] == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("t_grid", [[], [0.0, 1.0], [1.0, -1.0], [np.nan, 1.0]])
+def test_finite_iteration_tail_refuses_an_empty_or_non_positive_t_grid(t_grid):
+    spec = symm(d=1, b=1, eta=1.0, h_law=MixtureLaw((0.5 * np.eye(1),)))
+    with pytest.raises(ConfigurationError, match="t-grid"):
+        finite_iteration_tail(spec, n=1, t_grid=t_grid, samples=10, seed=0)
+
+
 def test_finite_iteration_tail_slope_mixture():
     h_law = MixtureLaw((0.5 * np.eye(1), 2.5 * np.eye(1)), (0.5, 0.5))
     spec = symm(d=1, b=1, eta=1.0, h_law=h_law)

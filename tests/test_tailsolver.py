@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from heavytail.models import MixtureLaw, ModelSpec, Variant, rank1_gauss, symm
 from heavytail import tailsolver
 from heavytail.spectral import FirstColumnSample, quadrature_oracle_d1
-from heavytail.tailsolver import (RangeError, SolveStatus, alpha_curve,
+from heavytail.tailsolver import (AlphaSolve, RangeError, SolveStatus, alpha_curve,
                                   contour_grid, marching_squares, solve_alpha,
                                   solve_xi1)
 
@@ -117,6 +117,36 @@ def test_alpha_curve_records_a_failed_point_without_order(monkeypatch):
     assert [s.status for s in curve.solves[::2]] == [SolveStatus.CONVERGED] * 2
     # a failed point is unordered: neither neighbouring pair reads decreasing
     assert [ok for _, _, ok in curve.monotonicity_report] == [False, False]
+
+
+def test_alpha_curve_orders_a_gamma_non_negative_point_as_zero():
+    # gamma(xi) = (log|1 - xi/2| + log|1 - 5 xi/2|) / 2 >= 0 at xi = 2.5 and 3,
+    # so no positive root exists there: alpha has fallen to 0
+    curve = alpha_curve(mixture_spec(), [0.5, 0.9, 2.5, 3.0], samples=100, seed=8)
+    assert [s.status for s in curve.solves] == [
+        SolveStatus.NO_ROOT_BELOW_S_MAX, SolveStatus.CONVERGED,
+        SolveStatus.GAMMA_NON_NEGATIVE, SolveStatus.GAMMA_NON_NEGATIVE]
+    assert [ok for _, _, ok in curve.monotonicity_report] == [True, True, True]
+
+
+def test_alpha_curve_compares_a_pair_with_a_boundary_end_exactly(monkeypatch):
+    S = SolveStatus
+    solves = {0.1: (S.NO_ROOT_BELOW_S_MAX, np.nan), 0.2: (S.NO_ROOT_BELOW_S_MAX, np.nan),
+              0.3: (S.CONVERGED, 2.0), 0.4: (S.GAMMA_NON_NEGATIVE, np.nan),
+              0.5: (S.GAMMA_NON_NEGATIVE, np.nan), 0.6: (S.CONVERGED, 1.0),
+              0.7: (S.FAILED, np.nan), 0.8: (S.FAILED, np.nan)}
+
+    def fake(cols, *args, xi=None, **kwargs):
+        status, alpha = solves[xi]
+        # a stderr far above every gap: only a pair of converged points uses it
+        return AlphaSolve(xi=xi, alpha=alpha, residual=np.nan, bracket=(np.nan, np.nan),
+                          stderr_alpha=10.0, status=status)
+
+    monkeypatch.setattr(tailsolver, "solve_alpha", fake)
+    curve = alpha_curve(mixture_spec(), list(solves), samples=100, seed=8)
+    # +inf, +inf; +inf > 2; 2 > 0; 0, 0; 0 < 1; failed; failed
+    assert [ok for _, _, ok in curve.monotonicity_report] == [
+        True, True, True, True, False, False, False]
 
 
 def test_alpha_curve_propagates_programming_errors(monkeypatch):
