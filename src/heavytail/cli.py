@@ -18,7 +18,6 @@ import warnings
 import numpy as np
 
 from . import empirics, mc, recursion, spectral, svgfig, tailsolver, transferop
-from .config import RunConfig
 from .linalg import row_norms
 from .models import (ConfigurationError, GoeLaw, MixtureLaw, ModelSpec, Variant,
                      load_law_file)
@@ -170,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="heavytail", allow_abbrev=False,
         description="Simulation and heavy-tail diagnostics for affine stochastic "
                     "recursions of SGD type (A = I - xi*H).")
-    parser.add_argument("--config", help="run-config file of flag values (flags override)")
+    parser.add_argument("--config", help="run-config file: a subcommand, then one "
+                        "--flag=value per line (flags override)")
     sub = parser.add_subparsers(dest="subcommand", required=False)
 
     p = _add_command(sub, "simulate", _cmd_simulate, 1000,
@@ -274,31 +274,41 @@ def _subparser(parser: argparse.ArgumentParser, name: str):
     return action.choices.get(name)
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    """argv with the ``--config`` file read in: its values go in as
-    ``--flag=value`` tokens right after the subcommand (the file's, unless argv
-    names one), so argparse reads them exactly as the flags they name, and the
-    explicit flags, which come later, override them."""
+def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """argv with the ``--config`` file read in. The file is a run's argv, one
+    token per non-empty line: the subcommand, then ``--flag=value`` lines. Its
+    flags go in right after the subcommand (the file's, unless argv names one),
+    so argparse reads them exactly as the flags they name, and the explicit
+    flags, which come later, override them."""
     probe = argparse.ArgumentParser(prog="heavytail", add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
     known, argv = probe.parse_known_args(argv)
     if known.config is None:
         return argv
-    run_cfg = RunConfig.load(known.config)
+    with open(known.config, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if line]
+    first = lines[0] if lines else ""
+    if _subparser(parser, first) is None:
+        parser.error(f"argument --config: {known.config} starts with {first!r}, "
+                     "not a subcommand")
     if not argv or argv[0].startswith("-"):
-        argv = [run_cfg.subcommand] + argv
-    flags = [f"--{key.replace('_', '-')}={value}" for key, value in run_cfg.args.items()]
-    return argv[:1] + flags + argv[1:]
+        argv = [first] + argv
+    return argv[:1] + lines[1:] + argv[1:]
 
 
-def run_config_from_args(args: argparse.Namespace, subparser) -> RunConfig:
-    """The run config that replays ``args``: the values of the subcommand's
-    own flags. A preset that is not a flag, such as a figure's model, is
-    left out, since the subcommand sets it again."""
-    flags = {a.dest for a in subparser._actions} - {"help", "dump_config"}
-    return RunConfig(subcommand=args.subcommand,
-                     args={k: str(v) for k, v in vars(args).items()
-                           if k in flags and v is not None})
+def run_config_from_args(args: argparse.Namespace, subparser) -> str:
+    """The run-config text that replays ``args``: the subcommand, then one
+    ``--flag=value`` line for each of the subcommand's own flags that has a
+    value, sorted by flag. A preset that is not a flag, such as a figure's
+    model, is left out, since the subcommand sets it again. A value holding a
+    line break cannot be a line, so it is a ConfigurationError."""
+    dests = {a.dest for a in subparser._actions} - {"help", "dump_config"}
+    lines = [args.subcommand] + [f"--{k.replace('_', '-')}={v}" for k, v in
+                                 sorted(vars(args).items()) if k in dests and v is not None]
+    for line in lines:
+        if line.splitlines() != [line]:
+            raise ConfigurationError(f"{line!r} has a line break; a run config cannot hold it")
+    return "".join(f"{line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +586,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(argv)
-    except (ConfigurationError, OSError, ValueError) as exc:
+        argv = _apply_config(argv, parser)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     args = parser.parse_args(argv)
@@ -590,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         if args.dump_config:
-            text = run_config_from_args(args, _subparser(parser, args.subcommand)).to_text()
+            text = run_config_from_args(args, _subparser(parser, args.subcommand))
             with open(args.dump_config, "w", encoding="utf-8") as fh:
                 fh.write(text)
         return args.handler(args, _build_spec(args))

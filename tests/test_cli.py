@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from heavytail import recursion
 from heavytail.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, INLINE_MODELS,
-                           MAX_GRID_POINTS, _parse_grid, main)
-from heavytail.config import RunConfig
+                           MAX_GRID_POINTS, _apply_config, _parse_grid, _subparser,
+                           build_parser, main, run_config_from_args)
 from heavytail.empirics import angular_exceedance_test, hill_stability_scan
 from heavytail.linalg import row_norms
 from heavytail.models import ConfigurationError, load_law_file
@@ -612,10 +613,9 @@ def test_no_usable_path_exits_3(cmd, short_stop_rule, capsys):
 
 
 def test_config_non_positive_count_exits_2(tmp_path):
-    path = tmp_path / "zero.cfg"
-    path.write_text(RunConfig("kcurve", {"model": "rank1gauss", "eta": "0.5",
-                                         "samples": "0"}).to_text())
-    code, err = _exit_code(["--config", str(path)])
+    path = _write_config(tmp_path / "zero.cfg", "kcurve",
+                         {"model": "rank1gauss", "eta": "0.5", "samples": "0"})
+    code, err = _exit_code(["--config", path])
     assert code == EXIT_CONFIG and ">= 1" in err
 
 
@@ -890,19 +890,22 @@ def test_byte_reproducibility_representative_commands(tmp_path):
                 (tmp_path / f"{i}_b.svg").read_bytes()
 
 
-def test_run_config_round_trip():
-    cfg = RunConfig("alpha", {"model": "rank1gauss", "d": "1", "b": "1",
-                              "eta": "0.6666666666666666", "samples": "1000"})
-    again = RunConfig.from_text(cfg.to_text())
-    assert again == cfg
-    assert RunConfig.from_text(again.to_text()) == again
+def test_run_config_round_trip(tmp_path):
+    # a file that names every flag alpha dumps is dumped back unchanged
+    path = _write_config(tmp_path / "run.cfg", "alpha", {
+        "model": "rank1gauss", "d": "1", "b": "1", "eta": "0.6666666666666666",
+        "samples": "1000", "seed": "0", "s_max": "8.0"})
+    dumps = [tmp_path / "a.cfg", tmp_path / "b.cfg"]
+    assert run_cli(["--config", path, "--dump-config", dumps[0]]) == EXIT_OK
+    assert run_cli(["--config", dumps[0], "--dump-config", dumps[1]]) == EXIT_OK
+    text = (tmp_path / "run.cfg").read_text()
+    assert dumps[0].read_text() == text and dumps[1].read_text() == text
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
-    cfg = RunConfig("kcurve", {"model": "symm-det-identity", "eta": "0.5",
-                               "b": "1", "s_grid": "0:1:2", "samples": "10"})
-    path = tmp_path / "run.cfg"
-    path.write_text(cfg.to_text())
+    path = _write_config(tmp_path / "run.cfg", "kcurve", {
+        "model": "symm-det-identity", "eta": "0.5", "b": "1", "s_grid": "0:1:2",
+        "samples": "10"})
     out1 = tmp_path / "o1.csv"
     assert run_cli(["--config", path, "--out", out1]) == EXIT_OK
     vals = [float(l.split(",")[1]) for l in out1.read_text().splitlines()[1:]]
@@ -915,10 +918,29 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
 
 
 def test_config_unknown_key_rejected(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text(RunConfig("kcurve", {"bogus": "1"}).to_text())
-    code, err = _exit_code(["--config", str(path)])
+    path = _write_config(tmp_path / "bad.cfg", "kcurve", {"bogus": "1"})
+    code, err = _exit_code(["--config", path])
     assert code == EXIT_CONFIG and "--bogus" in err
+
+
+def test_config_bad_value_exits_2(tmp_path):
+    path = _write_config(tmp_path / "bad.cfg", "kcurve",
+                         {"model": "rank1gauss", "eta": "0.5", "method": "exact"})
+    code, err = _exit_code(["--config", path, "--method", "closed"])
+    assert code == EXIT_CONFIG and "argument --method: invalid choice: 'exact'" in err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "--seed=1\nkcurve\n",
+                                  "[run]\nsubcommand = kcurve\n\n[args]\nseed = 1\n"])
+@pytest.mark.parametrize("subcommand", [[], ["kcurve"]])
+def test_config_without_a_subcommand_first_exits_2(text, subcommand, tmp_path):
+    # an INI run config of earlier versions fails at its [run] line
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    code, err = _exit_code([*subcommand, "--config", str(path)])
+    first = next((line for line in text.splitlines() if line), "")
+    assert code == EXIT_CONFIG and "Traceback" not in err
+    assert f"argument --config: {path} starts with {first!r}, not a subcommand" in err
 
 
 def test_reproduce_fig_commands_small(tmp_path, monkeypatch):
@@ -953,9 +975,9 @@ def test_dump_config_round_trips_a_run(tmp_path):
     out2 = tmp_path / "o2.csv"
     assert run_cli(["--config", cfg_path, "--out", out2]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
-    cfg = RunConfig.load(str(cfg_path))
-    assert cfg.subcommand == "kcurve"
-    assert RunConfig.from_text(cfg.to_text()) == cfg
+    assert cfg_path.read_text() == (
+        "kcurve\n--b=1\n--d=1\n--eta=0.4\n--method=closed\n--model=rank1gauss\n"
+        f"--n=40\n--out={out1}\n--s-grid=0:0.5:2\n--samples=5000\n--seed=3\n")
 
 
 @pytest.mark.parametrize("flag", ["--out", "--svg", "--dump-config"])
@@ -974,45 +996,74 @@ def test_unreadable_law_file_exits_2(tmp_path):
     assert "No such file or directory" in err
 
 
-def test_dump_config_keeps_a_percent_sign(tmp_path):
-    cfg_path, out = tmp_path / "run.cfg", tmp_path / "k 50%.csv"
+def _dump_keeps_the_out_path(tmp_path, name):
+    """A dump of a run writing to ``name`` holds the path as it is and replays."""
+    cfg_path, out = tmp_path / "run.cfg", tmp_path / name
     argv = ["kcurve", "--model", "symm-det-identity", "--eta", "0.5", "--s-grid", "0,1"]
     assert run_cli(argv + ["--out", out, "--dump-config", cfg_path]) == EXIT_OK
     first = out.read_bytes()
     out.unlink()
-    assert RunConfig.load(str(cfg_path)).args["out"] == str(out)
+    assert f"--out={out}" in cfg_path.read_text().splitlines()
     assert run_cli(["--config", cfg_path]) == EXIT_OK
     assert out.read_bytes() == first
 
 
+def test_dump_config_keeps_a_percent_sign(tmp_path):
+    _dump_keeps_the_out_path(tmp_path, "k 50%.csv")
+
+
+def test_dump_config_keeps_surrounding_spaces(tmp_path):
+    _dump_keeps_the_out_path(tmp_path, " x;#[1].csv ")
+
+
 def test_dump_config_that_would_not_read_back_exits_2(tmp_path):
-    # configparser strips the trailing space of the value when it reads it
-    cfg_path, out = tmp_path / "run.cfg", str(tmp_path / "x.csv ")
-    code, err = _exit_code(["kcurve", "--model", "symm-det-identity", "--eta", "0.5",
-                            "--out", out, "--dump-config", str(cfg_path)])
-    assert code == EXIT_CONFIG and "Traceback" not in err
-    assert "'out' would not read back as written" in err
-    assert not cfg_path.exists() and not (tmp_path / "x.csv ").exists()
+    # a value with a line break cannot be one line of the file
+    cfg_path = tmp_path / "run.cfg"
+    for brk in ["\n", "\r", "\x0b", "\x1c", "\u2028"]:
+        out = str(tmp_path / f"x{brk}.csv")
+        code, err = _exit_code(["kcurve", "--model", "symm-det-identity", "--eta", "0.5",
+                                "--out", out, "--dump-config", str(cfg_path)])
+        assert code == EXIT_CONFIG and "Traceback" not in err
+        assert f"{f'--out={out}'!r} has a line break" in err
+        assert not cfg_path.exists() and not (tmp_path / f"x{brk}.csv").exists()
 
 
-_DEST = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,12}", fullmatch=True)
+def _breaks_a_line(value):
+    return f"x{value}".splitlines() != [f"x{value}"]
+
+
+_PARSER = build_parser()
+_SUBCOMMANDS = sorted(next(a.choices for a in _PARSER._actions
+                           if isinstance(a, argparse._SubParsersAction)))
+
+
+@st.composite
+def _flag_values(draw):
+    """A subcommand and text values for some of its flags, by dest."""
+    subcommand = draw(st.sampled_from(_SUBCOMMANDS))
+    dests = sorted({a.dest for a in _subparser(_PARSER, subcommand)._actions}
+                   - {"help", "dump_config"})
+    return subcommand, draw(st.dictionaries(st.sampled_from(dests),
+                                            st.text(max_size=20), max_size=6))
 
 
 @settings(max_examples=300, deadline=None)
-@given(subcommand=st.text(max_size=12),
-       args=st.dictionaries(_DEST, st.text(max_size=20), max_size=6))
-def test_run_config_reads_back_as_written_or_refuses(subcommand, args):
-    cfg = RunConfig(subcommand, args)
+@given(case=_flag_values())
+def test_run_config_reads_back_as_written_or_refuses(case, config_dir):
+    subcommand, values = case
+    args = argparse.Namespace(subcommand=subcommand, **values)
     try:
-        text = cfg.to_text()
+        text = run_config_from_args(args, _subparser(_PARSER, subcommand))
     except ConfigurationError:
-        # only a key or value that the INI text cannot hold is refused
-        plain = (all(k == k.lower() for k in args)
-                 and all(v.isprintable() and v == v.strip()
-                         for v in [subcommand, *args.values()]))
-        assert not plain
-    else:
-        assert RunConfig.from_text(text) == cfg
+        # only a value with a line break is refused
+        assert any(map(_breaks_a_line, values.values()))
+        return
+    assert not any(map(_breaks_a_line, values.values()))
+    path = config_dir / "dump.cfg"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert _apply_config(["--config", str(path)], _PARSER) == [subcommand] + [
+        f"--{k.replace('_', '-')}={v}" for k, v in sorted(values.items())]
 
 
 def test_operator_that_collapses_exits_3(capsys):
@@ -1107,6 +1158,33 @@ def test_one_draw_runs_report_nan_quietly(cmd, tmp_path, capsys):
     assert "nan" in capsys.readouterr().out
 
 
+def test_gaussian_h_law_exits_2(tmp_path):
+    # an H law has no plain Gaussian kind; goe is the Gaussian matrix law
+    law = tmp_path / "gauss-h.law"
+    law.write_text("[model]\nvariant = symm\nd = 1\nb = 1\neta = 0.5\n\n"
+                   "[h_law]\nkind = gaussian\n")
+    code, err = _exit_code(["alpha", "--law-file", str(law), "--samples", "10"])
+    assert code == EXIT_CONFIG and "unknown h_law kind 'gaussian'" in err
+
+
+def test_alphacurve_without_a_critical_xi_exits_3(tmp_path):
+    # H = -1: E<H e_1, e_1> < 0, so h(xi, 1) > 1 for every xi > 0
+    law, out = tmp_path / "neg.law", tmp_path / "curve.csv"
+    law.write_text("[model]\nvariant = symm\nd = 1\nb = 1\neta = 1.0\n\n"
+                   "[h_law]\nkind = deterministic\nmatrices = [[-1.0]]\n")
+    code, err = _exit_code(["alphacurve", "--law-file", str(law), "--xi-grid", "0.1,0.2",
+                            "--samples", "100", "--out", str(out)])
+    assert code == EXIT_NUMERICAL and "Traceback" not in err
+    assert err.startswith("error: E<H e_1,e_1> = -1 ")
+    assert not out.exists()
+
+
+def test_bare_command_prints_usage_and_exits_2(capsys):
+    assert run_cli([]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: heavytail") and captured.out == ""
+
+
 def test_rank1gauss_law_file_with_a_law_section_exits_2(tmp_path, capsys):
     # it used to exit 0 and ignore the section
     law = tmp_path / "gauss.law"
@@ -1124,9 +1202,8 @@ def test_dump_config_of_a_figure_replays(tmp_path):
                     "--out", first[0], "--svg", first[1],
                     "--dump-config", cfg_path]) == EXIT_OK
     # the presets are not flags of reproduce-fig1, so they are not dumped
-    cfg = RunConfig.load(str(cfg_path))
-    assert cfg.subcommand == "reproduce-fig1"
-    assert sorted(cfg.args) == ["out", "samples", "seed", "svg"]
+    assert cfg_path.read_text() == (f"reproduce-fig1\n--out={first[0]}\n--samples=300\n"
+                                    f"--seed=2\n--svg={first[1]}\n")
     again = [tmp_path / "b.csv", tmp_path / "b.svg"]
     assert run_cli(["--config", cfg_path, "--out", again[0],
                     "--svg", again[1]]) == EXIT_OK
@@ -1134,7 +1211,10 @@ def test_dump_config_of_a_figure_replays(tmp_path):
 
 
 def _write_config(path, subcommand, args):
-    path.write_text(RunConfig(subcommand, args).to_text())
+    """A run-config file: the subcommand, then one --flag=value line per
+    dest in ``args``, sorted."""
+    path.write_text("".join(f"{line}\n" for line in [subcommand] + [
+        f"--{k.replace('_', '-')}={v}" for k, v in sorted(args.items())]))
     return str(path)
 
 
@@ -1156,7 +1236,9 @@ def test_config_dumped_over_itself_replays(tmp_path):
     assert run_cli(["--config", path, "--s-grid", "0:1:3", "--out", outs[0],
                     "--dump-config", path]) == EXIT_OK
     updated = {**_KCURVE_CFG, "s_grid": "0:1:3", "out": str(outs[0])}
-    assert updated.items() <= RunConfig.load(path).args.items()
+    lines = (tmp_path / "run.cfg").read_text().splitlines()
+    assert lines[0] == "kcurve"
+    assert {f"--{k.replace('_', '-')}={v}" for k, v in updated.items()} <= set(lines[1:])
     assert run_cli(["--config", path, "--out", outs[1]]) == EXIT_OK
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
@@ -1194,8 +1276,7 @@ def config_dir(tmp_path_factory):
 
 def _config_vs_flags_values(fuzz_models, subcommand):
     """Flag values by dest: valid ones, bad choices, bad counts and empty
-    grids. configparser drops a value's surrounding spaces, so the values
-    have none."""
+    grids."""
     own = {"kcurve": {"method": st.sampled_from(["closed", "product", "exact", "prodcut"]),
                       "s_grid": _S_GRID, "n": _COUNT},
            "gausscheck": {"check": st.sampled_from(["chi2", "stam", "both", "chi", "exact"])},
@@ -1204,8 +1285,7 @@ def _config_vs_flags_values(fuzz_models, subcommand):
                             + [{"model": m} for m in INLINE_MODELS])
     values = st.fixed_dictionaries({"d": _DIM, "b": _DIM, "eta": _REAL, "samples": _COUNT,
                                     **own})
-    return st.tuples(model, values).map(
-        lambda t: {k: v.strip() for k, v in {**t[0], **t[1]}.items()})
+    return st.tuples(model, values).map(lambda t: {**t[0], **t[1]})
 
 
 @settings(max_examples=60, deadline=None)

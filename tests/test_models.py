@@ -329,6 +329,14 @@ ROLE_TEXT = {
 }
 
 
+@pytest.mark.parametrize("role", ["b", "a", "y"])
+def test_gaussian_law_section_is_the_default_law(role):
+    variant, other, _ = ROLE_TEXT[role]
+    text = f"[model]\nvariant = {variant}\nd = 2\nb = 3\neta = 0.5\n\n{other}"
+    assert (spec_from_law_text(text + f"[{role}_law]\nkind = gaussian\n")
+            == spec_from_law_text(text))
+
+
 @st.composite
 def _mixtures(draw):
     """(role, d, atoms, probs): 1-4 symmetric matrices, vectors or scalars."""

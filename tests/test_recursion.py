@@ -706,6 +706,25 @@ def test_pick_matches_searchsorted(atoms):
     assert np.array_equal(recursion._pick(cdf, u), cdf.searchsorted(u, side="right"))
 
 
+def test_scalar_tilt_above_the_counting_limit(monkeypatch):
+    # b = 40 draws of a two-atom scalar law: 41 sum support points, so 40
+    # breakpoints, more than the counting branch of draw takes
+    spec = symm(1, 40, 1.0, MixtureLaw(([[0.5 / 40]], [[2.5 / 40]]), (0.5, 0.5)))
+    tilt = AlphaTilt.for_spec(spec, 2.0)
+    assert tilt.scalar and tilt.nominal_cdf.size == 40 > recursion._COUNT_BREAKPOINTS
+    assert not np.array_equal(tilt.tilted_cdf, tilt.nominal_cdf)
+    rng = np.random.default_rng(34)
+    u = np.concatenate([rng.random(5000), tilt.nominal_cdf, tilt.tilted_cdf, [0.0]])
+    tilted = rng.random(u.size) < 0.5
+    idx, ratio = tilt.draw(u, tilted, None)
+    want = np.where(tilted, tilt.tilted_cdf.searchsorted(u, side="right"),
+                    tilt.nominal_cdf.searchsorted(u, side="right"))
+    assert np.array_equal(idx, want) and np.array_equal(ratio, tilt.ratio[want])
+    monkeypatch.setattr(recursion, "_COUNT_BREAKPOINTS", 64)
+    counted = tilt.draw(u, tilted, None)
+    assert np.array_equal(counted[0], idx) and np.array_equal(counted[1], ratio)
+
+
 def _tilted_norms(spec, alpha, grid, draws, seed):
     rng = mc.substream(seed)
     paths = TiltedPaths(AlphaTilt.for_spec(spec, alpha), grid, draws, rng)

@@ -423,6 +423,31 @@ def test_marching_squares_linear_exact():
     assert np.allclose(pts[:, 0], 0.25)
 
 
+def _cut_corner(line):
+    """The corner of the unit cell whose two edges the segment crosses."""
+    (corner,) = [(cx, cy) for cx in (0.0, 1.0) for cy in (0.0, 1.0)
+                 if all(px == cx or py == cy for px, py in line)]
+    return corner
+
+
+# z[i, j] at (x[i], y[j]); corner k of the cell is bit k of its index:
+# (0, 0), (1, 0), (1, 1), (0, 1). Index 5 has (0, 0) and (1, 1) above the
+# level, index 10 has (1, 0) and (0, 1). Where the centre is above the
+# level, the corners above it join across the cell and the two below it
+# are cut off; where it is below, the two above are.
+@pytest.mark.parametrize("z, cut", [
+    ([[2.0, -1.0], [-1.0, 2.0]], [(0.0, 1.0), (1.0, 0.0)]),   # 5, centre above
+    ([[1.0, -2.0], [-2.0, 1.0]], [(0.0, 0.0), (1.0, 1.0)]),   # 5, centre below
+    ([[-1.0, 2.0], [2.0, -1.0]], [(0.0, 0.0), (1.0, 1.0)]),   # 10, centre above
+    ([[-2.0, 1.0], [1.0, -2.0]], [(0.0, 1.0), (1.0, 0.0)]),   # 10, centre below
+])
+def test_marching_squares_saddle_cells(z, cut):
+    unit = np.array([0.0, 1.0])
+    lines = marching_squares(unit, unit, np.array(z), 0.0)
+    assert len(lines) == 2 and all(len(line) == 2 for line in lines)
+    assert sorted(map(_cut_corner, lines)) == cut
+
+
 def test_marching_squares_skips_nan_cells():
     z = np.array([[0.0, np.nan], [2.0, 2.0]])
     lines = marching_squares(np.array([0.0, 1.0]), np.array([0.0, 1.0]), z, 1.0)
