@@ -599,14 +599,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.dump_config:
-            text = run_config_from_args(args, _subparser(parser, args.subcommand))
+        dump = args.dump_config and run_config_from_args(
+            args, _subparser(parser, args.subcommand))
+        try:
+            code = args.handler(args, _build_spec(args))
+        except (empirics.EstimationError, transferop.PowerIterationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_NUMERICAL
+        # written only once the run has not failed with exit 2, so such a
+        # run leaves an existing file (even its own --config) as it was
+        if dump:
             with open(args.dump_config, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return args.handler(args, _build_spec(args))
-    except (empirics.EstimationError, transferop.PowerIterationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+                fh.write(dump)
+        return code
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special, stats
 
 from . import mc
 from .linalg import row_norms
@@ -121,6 +120,7 @@ def angular_exceedance_test(r_samples: np.ndarray, threshold_quantile: float = 0
     the Rayleigh resultant-length test. Too few exceedances gives an
     inconclusive report rather than a verdict.
     """
+    from scipy import stats
     r = np.asarray(r_samples, dtype=float)
     if r.ndim != 2 or r.shape[1] != 2:
         raise ValueError(f"expected (n, 2) samples, got shape {r.shape}")
@@ -251,6 +251,7 @@ def chi2_diagonal_check(spec: ModelSpec, samples: int, seed: int = 0,
     The diagonals of a Wishart_d(b, I) H (rank1 with Gaussian a's, whatever
     the y-law) are chi-square(b) (mean b, variance 2b).
     """
+    from scipy import stats
     if not wishart_h(spec):
         raise ValueError("the chi-square diagonal law holds only for a Wishart H "
                          "(rank1 with the Gaussian a-law)")
@@ -275,6 +276,7 @@ def chi2_diagonal_check(spec: ModelSpec, samples: int, seed: int = 0,
 def unit_inner_product_density(u: np.ndarray, b: int) -> np.ndarray:
     """Density on (-1, 1) of <Y_1, Y_2> for independent uniform unit vectors
     in b dimensions: Gamma(b/2) / (sqrt(pi) Gamma((b-1)/2)) * (1-u^2)^((b-3)/2)."""
+    from scipy import special
     if b <= 3:
         raise ValueError(f"the displayed density needs b > 3, got b={b}")
     u = np.asarray(u, dtype=float)
@@ -284,6 +286,7 @@ def unit_inner_product_density(u: np.ndarray, b: int) -> np.ndarray:
 
 def unit_inner_product_cdf(u: np.ndarray, b: int) -> np.ndarray:
     """CDF of the inner-product density via the regularized incomplete Beta."""
+    from scipy import special
     u = np.asarray(u, dtype=float)
     tail = special.betainc(0.5, (b - 1) / 2, u * u)
     return 0.5 * (1 + np.sign(u) * tail)
@@ -312,6 +315,7 @@ def stam_p2_check(b: int, samples: int, seed: mc.Seed = 0, n_bins: int = 50,
     histogram over ``n_bins`` equal-width bins on (-1, 1) is tested by
     chi-square against exact bin masses from the Beta-function CDF.
     """
+    from scipy import stats
     if b <= 3:
         raise ValueError(f"need b > 3, got b={b}")
 

@@ -27,7 +27,6 @@ import threading
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import mc
 from .linalg import batch_operator_norms
@@ -272,6 +271,7 @@ def quadrature_oracle_d1(eta: float, kind: str, s: float = 1.0) -> float:
         if s == 0:
             return 1.0
 
+    from scipy.integrate import quad
     sq2pi = np.sqrt(2 * np.pi)
 
     if kind == "s":

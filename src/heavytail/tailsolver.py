@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import mc
 from .models import ModelSpec
@@ -79,6 +78,7 @@ def solve_alpha(cols: FirstColumnSample, s_max: float = S_MAX_DEFAULT,
     +inf), it is failed. stderr_alpha propagates the Monte-Carlo uncertainty
     of h through the local slope: stderr(h at root) / |dh/ds at root|.
     """
+    from scipy.optimize import brentq
     xi = cols.spec.xi if xi is None else xi
     gam = cols.gamma(xi)
 
@@ -118,6 +118,7 @@ def solve_xi1(cols: FirstColumnSample) -> float:
     is convex with g(0) = 0, and g(hi/1024) < 0 <= g(hi) with
     hi = 16 / E<H e_1, e_1> decides whether the root is on that interval.
     """
+    from scipy.optimize import brentq
     h11 = cols.mean_h11()
     if not (h11.mean > 3.0 * h11.stderr):
         raise RangeError(

@@ -3,14 +3,19 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heavytail
 from heavytail import recursion
 from heavytail.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, INLINE_MODELS,
                            MAX_GRID_POINTS, _apply_config, _parse_grid, _subparser,
@@ -1243,6 +1248,28 @@ def test_config_dumped_over_itself_replays(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_run_that_exits_2_writes_no_dump(tmp_path):
+    cfg_path = tmp_path / "bad.cfg"
+    code, err = _exit_code(["kcurve", "--model", "rank1gauss", "--eta", "0.3",
+                            "--s-grid", ",", "--dump-config", str(cfg_path)])
+    assert code == EXIT_CONFIG and "--s-grid is empty" in err
+    assert not cfg_path.exists()
+    # a run that exits 3 still dumps itself
+    code, _ = _exit_code(["alpha", "--model", "symm-det-identity", "--eta", "0.5",
+                          "--b", "1", "--samples", "10", "--out", str(tmp_path / "a.csv"),
+                          "--dump-config", str(cfg_path)])
+    assert code == EXIT_NUMERICAL and cfg_path.read_text().startswith("alpha\n")
+
+
+def test_run_that_exits_2_leaves_its_own_config_as_it_was(tmp_path):
+    path = _write_config(tmp_path / "run.cfg", "kcurve", _KCURVE_CFG)
+    before = (tmp_path / "run.cfg").read_bytes()
+    code, err = _exit_code(["--config", path, "--s-grid", ",", "--dump-config", path])
+    assert code == EXIT_CONFIG and "--s-grid is empty" in err
+    assert (tmp_path / "run.cfg").read_bytes() == before
+    assert run_cli(["--config", path, "--out", tmp_path / "a.csv"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("subcommand,args,flag", [
     ("alphacurve", {}, "--xi-grid"),
     ("contour", {}, "--param-grid"),
@@ -1303,3 +1330,44 @@ def test_config_values_are_read_as_the_flags_they_name(fuzz_models, config_dir, 
     assert config_code == code, (err, config_err)
     if code == EXIT_OK:
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+_SCIPY_PROBE = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from heavytail import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+cli.build_parser()
+seen = {"build_parser": loaded()}
+D2B8 = ["--model", "rank1gauss", "--d", "2", "--b", "8", "--samples", "200"]
+for argv in (["simulate", *D2B8, "--eta", "1.5"],
+             ["operator", *D2B8, "--eta", "0.3", "--bins", "16"],
+             ["kcurve", *D2B8, "--eta", "0.3", "--method", "product", "--n", "4",
+              "--s-grid", "1,2"],
+             ["moments", "--law-file", "mix.law", "--alpha", "1", "--samples", "200"],
+             ["tailbound", "--law-file", "mix.law", "--alpha", "1", "--n", "5",
+              "--samples", "200"],
+             ["alpha", *D2B8, "--eta", "1.5"]):
+    code = cli.main(argv + ["--out", "out.csv"])
+    seen[argv[0]] = loaded() if code == 0 else f"exit {code}"
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_commands_that_need_scipy_load_it(tmp_path):
+    # scipy is imported inside the functions that call it, so a process
+    # starts without it and only a root solve loads scipy.optimize
+    (tmp_path / "mix.law").write_text(MIX_LAW)
+    src = str(Path(heavytail.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, src], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    for step in ("build_parser", "simulate", "operator", "kcurve", "moments", "tailbound"):
+        assert seen[step] == [], step
+    assert "scipy.optimize" in seen["alpha"]
+    assert not {m for m in seen["alpha"]
+                if m.startswith(("scipy.stats", "scipy.integrate"))}
