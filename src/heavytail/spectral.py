@@ -47,8 +47,10 @@ class FirstColumnSample:
     b-fold sum support with its probabilities, making every downstream value
     deterministic (stderr 0). ``v(xi) = |(I - xi*H) u|`` is recomputable for
     any xi from the frozen columns, so one sample powers whole s- and
-    xi-grids. The sample is safe to share between threads: each thread
-    keeps the v of the last xi it evaluated, so threads at different xi do
+    xi-grids. On a Monte-Carlo sample the moments read log v, so each term
+    v^s is exp(s log v); an exact sample keeps v^s, so its values stay
+    exact. The sample is safe to share between threads: each thread keeps
+    the array of the last xi it evaluated, so threads at different xi do
     not evict each other's arrays.
     """
 
@@ -77,21 +79,22 @@ class FirstColumnSample:
             self.weights = None
         self.exact = self.weights is not None
         self.n = self.cols.shape[-1]
-        self._last_v = threading.local()  # per thread: (xi, v) of its last xi
+        self._last_v = threading.local()  # per thread: (xi, log, array) of its last xi
 
-    def v(self, xi: float) -> np.ndarray:
-        """|(I - xi*H) u| per frozen draw, read-only.
+    def v(self, xi: float, log: bool = False) -> np.ndarray:
+        """|(I - xi*H) u| per frozen draw, or its log with ``log``; read-only.
 
-        Each thread keeps the array of the last xi it asked for, so a solve
-        at one xi computes v once however many s it evaluates. A thread's
-        array is freed when it asks for another xi or when the thread ends.
+        Each thread keeps the array of the last (xi, log) it asked for, so a
+        solve at one xi computes it once however many s it evaluates. A
+        thread's array is freed when it asks for another one or when the
+        thread ends.
         """
         xi = float(xi)
-        pair = getattr(self._last_v, "pair", None)
-        if pair is not None and pair[0] == xi:
-            return pair[1]
+        last = getattr(self._last_v, "last", None)
+        if last is not None and last[:2] == (xi, log):
+            return last[2]
         # free the old array first, so the new one does not add to it
-        self._last_v.pair = pair = None
+        self._last_v.last = last = None
         # row by row in place: the same sum, in the same order, as
         # sqrt(((u[:, None] - xi * cols) ** 2).sum(axis=0)), with one (n,)
         # temporary in place of two (d, n) ones
@@ -101,8 +104,11 @@ class FirstColumnSample:
             np.subtract(uj, term, out=term)
             out += np.square(term, out=term)
         np.sqrt(out, out=out)
+        if log:
+            with np.errstate(divide="ignore"):
+                np.log(out, out=out)
         out.flags.writeable = False
-        self._last_v.pair = (xi, out)
+        self._last_v.last = (xi, log, out)
         return out
 
     def _moment(self, values: np.ndarray, tag: str) -> mc.McEstimate:
@@ -124,39 +130,62 @@ class FirstColumnSample:
                           stacklevel=3)
         return est
 
+    def _base(self, xi: float) -> np.ndarray:
+        """log v on a Monte-Carlo sample, v on an exact one (whose moments
+        stay exact)."""
+        return self.v(xi, log=not self.exact)
+
+    def _powers(self, base: np.ndarray, s: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """v^s per draw from ``base``: exp(s log v) on a Monte-Carlo sample,
+        written into ``out`` if given, and v ** s on an exact one. A zero v
+        gives 0 for s > 0, and a term past the double range gives inf."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.exact:
+                return base ** s
+            out = np.multiply(base, s, out=out)
+            return np.exp(out, out=out)
+
     def h(self, s: float, xi: float | None = None) -> mc.McEstimate:
         if s < 0:
             raise ValueError(f"s must be >= 0, got {s}")
         xi = self.spec.xi if xi is None else xi
         if s == 0:
             return mc.McEstimate(1.0, 0.0, self.n)
-        with np.errstate(over="ignore"):
-            return self._moment(self.v(xi) ** s, "overflow")
+        return self._moment(self._powers(self._base(xi), s), "overflow")
 
     def dh_ds(self, s: float, xi: float | None = None) -> mc.McEstimate:
         """E |(I-xi H)u|^s log|(I-xi H)u| on the frozen draw.
 
         Zero norms (a probability-zero event under density assumptions) are
-        excluded and counted as skipped.
+        excluded and counted as skipped: their term is 0 * -inf.
         """
         if s < 0:
             raise ValueError(f"s must be >= 0, got {s}")
         xi = self.spec.xi if xi is None else xi
-        v = self.v(xi)
+        base = self._base(xi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self._moment(v ** s * np.log(v), "zero-norm")
+            log_v = np.log(base) if self.exact else base
+            terms = self._powers(base, s)
+            return self._moment(np.multiply(terms, log_v, out=terms), "zero-norm")
 
     def gamma(self, xi: float | None = None) -> mc.McEstimate:
         xi = self.spec.xi if xi is None else xi
+        base = self._base(xi)
         with np.errstate(divide="ignore"):
-            return self._moment(np.log(self.v(xi)), "zero-norm")
+            return self._moment(np.log(base) if self.exact else base, "zero-norm")
 
     def h_row(self, xi: float, s_grid) -> np.ndarray:
         """Mean-only h(xi, s) for each s of ``s_grid``: no stderr, no skip
-        count, and a non-finite value is kept as it is."""
-        v = self.v(xi)
-        return np.array([1.0 if s == 0 else float(np.average(v ** s, weights=self.weights))
-                         for s in s_grid])
+        count, and a non-finite value is kept as it is. One scratch array
+        serves the whole grid."""
+        s_grid = [float(s) for s in s_grid]
+        if any(s < 0 for s in s_grid):
+            raise ValueError(f"s must be >= 0, got {min(s_grid)}")
+        base = self._base(xi)
+        scratch = None if self.exact else np.empty(self.n)
+        return np.array([1.0 if s == 0 else float(np.average(
+            self._powers(base, s, scratch), weights=self.weights)) for s in s_grid])
 
     def mean_h11(self) -> mc.McEstimate:
         """E <H u, u> on the frozen draw (positivity precondition checks)."""

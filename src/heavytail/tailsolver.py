@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from . import mc
-from .models import ModelSpec
+from .models import ConfigurationError, ModelSpec
 from .spectral import S_MAX_DEFAULT, FirstColumnSample
 
 
@@ -210,11 +210,17 @@ def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
     depend on scheduling. A b-grid fills its columns in turn, since each
     column already draws its sample on ``workers`` threads.
     Values are clipped at ``clip_level`` for display; raw values are kept
-    alongside. Failed cells are recorded as NaN.
+    alongside. An eta <= 0 or a b < 1 on the grid is a ConfigurationError;
+    a non-integer b >= 1 is warned about and its column recorded as NaN.
     """
     if param not in ("b", "eta"):
         raise ValueError("param must be 'b' or 'eta'")
     param_grid = tuple(float(p) for p in param_grid)
+    lowest = min(param_grid)
+    if param == "eta" and not lowest > 0:
+        raise ConfigurationError(f"eta must be > 0 on the parameter grid, got {lowest:g}")
+    if param == "b" and not lowest >= 1:
+        raise ConfigurationError(f"b must be >= 1 on the parameter grid, got {lowest:g}")
     s_grid = tuple(float(s) for s in s_grid)
     if param == "eta":
         shared = FirstColumnSample(spec, samples, seed, workers)
@@ -223,7 +229,7 @@ def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
         p = param_grid[i]
         if param == "eta":
             cols, xi = shared, p / spec.b
-        elif p != int(p) or p < 1:
+        elif p != int(p):
             warnings.warn(f"skipping non-integer batch size {p}", RuntimeWarning)
             return np.full(len(s_grid), np.nan)
         else:

@@ -772,12 +772,17 @@ FROZEN_SAMPLE_COMMANDS = {
 # as one sample writes it: its 0.21 row, within 5% of xi_1, is solved on the
 # same 2000 columns as xi_1 and the other rows. kcurve-product and
 # lyapunov-subadditive are pinned as the entry-major product kernel writes
-# them (plain k-order sums).
+# them (plain k-order sums). alpha, alphacurve, contour-b and kcurve-closed
+# are pinned as the log-domain moments write them (each Monte-Carlo term
+# v^s is exp(s log v)): against v ** s, alpha moved by <= 2.6e-16 relative,
+# stderr_alpha by <= 3.2e-16, the contour-b cells by <= 3.4e-16 and the
+# kcurve-closed estimates and stderrs (s up to 29) by <= 1.9e-15; residual,
+# gamma, the contour-b SVG and every standard output kept their bytes.
 FROZEN_SAMPLE_SHA256 = {
-    "alpha": "809c630533b1bc792ea53668d10db5d9d56803ec5d63e253f7691441db8f6f08",
-    "alphacurve": "4e2a4461ea0b7b378088c8deab1c74669a04e29f2f24c446899d0f28e262d392",
-    "contour-b": "cc6fa1a914755f9286f8248ac25207e80d07b2ab4aef4efd04a266b309b9c86f",
-    "kcurve-closed": "c7b3c8a179605a17bfe6fdaa50c8bbd838d7b1f18def39494dd7e237228612d6",
+    "alpha": "5dbc6495aefb614e8dd4935421a2668bab2f488dddd39ee077547bf2e95c8154",
+    "alphacurve": "9007b4dc1e18e06e01f00c938a45d7b5a80168d100a424cea7af5e3588545f0a",
+    "contour-b": "71b712fb0f57a06b019c7b4e02102353b2adbaa96fb172f2b4a97af0d2d46a1a",
+    "kcurve-closed": "e23a594ce6530e997b7f750ee76e7fb39dfb86fd1a149a84af985373f509e6be",
     "kcurve-product": "f31c365b20aad96596a7b5444c1f696ceb90a1c17b36fcaa0801ee06db9f859b",
     "lyapunov-closed": "358e3c103238679ad72be0f8831f86b37a04bc106abd745f8863cf6b23eec592",
     "lyapunov-subadditive":
@@ -872,6 +877,36 @@ def test_contour_csv_and_svg(tmp_path):
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text
 
+
+_CONTOUR = ["contour", "--model", "rank1gauss", "--d", "2", "--b", "2", "--eta", "0.5",
+            "--samples", "100"]
+
+
+@pytest.mark.parametrize("param, grids, message", [
+    ("eta", ["--param-grid=0.5,1", "--s-grid=-1,0,1"], "s must be >= 0, got -1"),
+    ("eta", ["--param-grid=-0.5,0,1", "--s-grid=0,1"],
+     "eta must be > 0 on the parameter grid, got -0.5"),
+    ("b", ["--param-grid=0,-1,2", "--s-grid=0,1"],
+     "b must be >= 1 on the parameter grid, got -1"),
+], ids=["negative-s", "eta-not-positive", "b-below-1"])
+def test_contour_out_of_range_grid_exits_2(param, grids, message, tmp_path):
+    # each of these wrote a CSV and exited 0: h at s = -1, h at xi = -0.25,
+    # NaN rows for b = 0 and b = -1
+    out = tmp_path / "c.csv"
+    code, err = _exit_code([*_CONTOUR, f"--param={param}", *grids, "--out", str(out)])
+    assert code == EXIT_CONFIG and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_contour_non_integer_b_keeps_its_nan_column(tmp_path):
+    out = tmp_path / "c.csv"
+    with pytest.warns(RuntimeWarning, match="skipping non-integer batch size 2.5"):
+        assert run_cli([*_CONTOUR, "--param=b", "--param-grid=1,2.5,3", "--s-grid=0,1",
+                        "--out", out]) == EXIT_OK
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [math.isnan(float(r["h"])) for r in rows] == [False, False, True, True,
+                                                         False, False]
 
 def test_byte_reproducibility_representative_commands(tmp_path):
     cmds = [

@@ -332,7 +332,8 @@ def test_contour_eta_grid_crossing_decreases():
 
 
 def _serial_contour(spec, param, param_grid, s_grid, samples, seed, workers):
-    # column by column, with v from the column formula
+    # column by column, with v from the column formula and each cell of
+    # these Monte-Carlo samples the mean of exp(s log v)
     h = np.full((len(param_grid), len(s_grid)), np.nan)
     for i, p in enumerate(param_grid):
         if param == "eta":
@@ -343,9 +344,10 @@ def _serial_contour(spec, param, param_grid, s_grid, samples, seed, workers):
             spec_b = replace(spec, b=int(p))
             cols = FirstColumnSample(spec_b, samples, (seed, i), workers)
             xi = spec_b.xi
-        v = np.sqrt(((cols.u[:, None] - xi * cols.cols) ** 2).sum(axis=0))
+        assert not cols.exact
+        log_v = np.log(np.sqrt(((cols.u[:, None] - xi * cols.cols) ** 2).sum(axis=0)))
         for j, s in enumerate(s_grid):
-            h[i, j] = 1.0 if s == 0 else float(np.average(v ** s, weights=cols.weights))
+            h[i, j] = 1.0 if s == 0 else float(np.mean(np.exp(s * log_v)))
     return h
 
 
