@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Layer timings of the frozen-column evaluator and the solvers that read it.
 
-    python3 bench/frozen_moments.py                      # writes BENCH_frozen_moments.json
-    python3 bench/frozen_moments.py --src ../parent/src --out BENCH_frozen_moments_parent.json
+    python3 bench/frozen_moments.py --out BENCH_frozen_columns.json
+    python3 bench/frozen_moments.py --src ../parent/src --out BENCH_frozen_columns_parent.json
 
 Times, on rank1gauss d = 2 (b = 8, eta = 1.5, xi = 0.1875 unless stated):
 
 - the ``FirstColumnSample`` build (2e5 draws, one worker);
 - one ``h`` at a new xi (v is computed) and at the xi just evaluated, at
   1e5 and 2e5 draws, s = 1.7;
+- the build and one ``v`` at a new xi at d = 2 / 16 / 64 (b = 8 / 8 / 32,
+  2e5 draws, one worker);
 - ``h_row`` over the figures' 40-point s-grid 0.25:0.25:10 at an evaluated
   xi (1e5 draws);
-- ``solve_alpha`` on a built 2e5-draw sample, from a fresh xi;
+- ``solve_alpha`` and ``solve_xi1`` on a built 2e5-draw sample, from a
+  fresh xi;
 - ``alpha_curve`` over xi 0.02:0.02:0.3 (2e5 draws, build included), on 1
   and 2 workers;
 - the fig1 (b 1:1:12, eta 0.75) and fig2 (b = 5, eta 0.05:0.05:1.5)
@@ -20,6 +23,8 @@ Times, on rank1gauss d = 2 (b = 8, eta = 1.5, xi = 0.1875 unless stated):
 Each row is timed ``--repeats`` times (at least 5) with ``perf_counter``
 after one untimed warm-up; the JSON holds every time, the median and the
 quartiles, the machine and the sha256 of the ``heavytail`` sources timed.
+It also holds the bytes that each sample of the d-sweep keeps per draw:
+every array attribute with one entry per draw along its last axis.
 The package is imported from ``--src`` (default: this checkout's ``src``),
 so one copy of this script times two checkouts alike. It is not part of
 the test suite.
@@ -41,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 S_GRID = tuple(0.25 * k for k in range(1, 41))
 XI_GRID = tuple(0.02 * k for k in range(1, 16))
+D_SWEEP = ((2, 8), (16, 8), (64, 32))  # (d, b)
 SEED = 7
 
 
@@ -61,6 +67,19 @@ def _sources_sha256(src: Path) -> str:
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def sweep(ht):
+    """(spec, built sample) for each (d, b) of ``D_SWEEP``, 2e5 draws."""
+    for d, b in D_SWEEP:
+        spec = ht.models.rank1_gauss(d, b, 1.5)
+        yield spec, ht.spectral.FirstColumnSample(spec, 200_000, SEED, 1)
+
+
+def kept_bytes(cols) -> int:
+    """Bytes of the arrays a built sample keeps with one entry per draw."""
+    return sum(a.nbytes for a in vars(cols).values()
+               if getattr(a, "ndim", 0) and a.shape[-1] == cols.n)
 
 
 def rows(ht):
@@ -90,10 +109,18 @@ def rows(ht):
                     lambda c: c.h(1.7, xi)))
         out.append(("h, evaluated xi", f"{n:.0e} draws, s = 1.7", at_evaluated_xi(cols),
                     lambda c: c.h(1.7, xi)))
+    for spec, cols in sweep(ht):
+        workload = f"2e+05 draws, b = {spec.b}"
+        out.append((f"build, d = {spec.d}", f"{workload}, 1 worker", lambda: None,
+                    lambda _, spec=spec: spectral.FirstColumnSample(spec, 200_000, SEED, 1)))
+        out.append((f"v, new xi, d = {spec.d}", workload, at_new_xi(cols),
+                    lambda c, x=spec.xi: c.v(x)))
     out.append(("h_row, evaluated xi", "1e+05 draws, 40-point s-grid 0.25:0.25:10",
                 at_evaluated_xi(samples[100_000]), lambda c: c.h_row(xi, S_GRID)))
     out.append(("solve_alpha, new xi", "2e+05 draws", at_new_xi(samples[200_000]),
                 lambda c: tailsolver.solve_alpha(c, xi=xi)))
+    out.append(("solve_xi1, new xi", "2e+05 draws", at_new_xi(samples[200_000]),
+                tailsolver.solve_xi1))
     for workers in (1, 2):
         out.append((f"alpha_curve, {workers} worker{'s' * (workers > 1)}",
                     "2e+05 draws, xi 0.02:0.02:0.3, build included", lambda: None,
@@ -147,6 +174,13 @@ def main(argv=None) -> int:
         print(f"{name:<26} {workload:<48} {median * 1e3:9.2f} ms "
               f"[{q1 * 1e3:.2f}, {q3 * 1e3:.2f}]")
 
+    kept = []
+    for spec, cols in sweep(heavytail):
+        kept.append({"d": spec.d, "b": spec.b, "draws": cols.n, "bytes": kept_bytes(cols),
+                     "bytes_per_draw": kept_bytes(cols) / cols.n})
+        print(f"kept bytes, d = {spec.d:<3} {cols.n:.0e} draws, b = {spec.b:<2} "
+              f"{kept[-1]['bytes'] / 2**20:9.2f} MiB ({kept[-1]['bytes_per_draw']:g} B/draw)")
+
     record = {
         "bench": "frozen_moments",
         "date_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -157,6 +191,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__},
         "rows": results,
+        "kept_bytes": kept,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

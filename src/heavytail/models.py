@@ -395,10 +395,10 @@ def sample_h_columns(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.nd
     """n draws of the first column H e_1 of the summed matrix, shape (n, d),
     equal to ``sample_h_sums(spec, n, rng)[:, :, 0]`` from the same stream.
 
-    This is the only part of H entering |(I - xi H) e_1|. A Bartlett law
-    draws only L's first column, so H e_1 = (c, sqrt(c) g) with
-    c ~ chi^2_b and g ~ N(0, I_{d-1}). Other laws take the column of H
-    blockwise.
+    This is the only part of H entering |(I - xi H) e_1|; ``FirstColumnSample``
+    keeps two numbers of it. A Bartlett law draws only L's first column, so
+    H e_1 = (c, sqrt(c) g) with c ~ chi^2_b and g ~ N(0, I_{d-1}). Other laws
+    take the column of H blockwise.
     """
     if gaussian_rank1(spec):
         first = _bartlett_column(spec, 0, n, rng)

@@ -12,13 +12,13 @@ Three routes are provided and cross-checked elsewhere:
   prefactor C in E||Pi_n||^s ~ C k(s)^n and is reported beside it.
 * quadrature: deterministic oracles for the d=1, b=1 Gaussian reduction.
 
-Every estimate reads one frozen draw (common random numbers): of H columns
-for the closed form (``FirstColumnSample``), of product log-norms for the
-product limit (``ProductSample``). So convexity checks and root finding see
-a smooth function of s. Finite-support H laws are enumerated exactly
-(stderr 0) by the closed form instead. ``FirstColumnSample`` is the one
-place that warns when its law is not rotation-invariant, because h along a
-direction then need not equal k(s).
+Every estimate reads one frozen draw (common random numbers): of two numbers
+per H column for the closed form (``FirstColumnSample``), of product log-norms
+for the product limit (``ProductSample``). So convexity checks and root
+finding see a smooth function of s. Finite-support H laws are enumerated
+exactly (stderr 0) by the closed form instead. ``FirstColumnSample`` is the
+one place that warns when its law is not rotation-invariant, because h along
+a direction then need not equal k(s).
 """
 
 from __future__ import annotations
@@ -42,16 +42,16 @@ QUAD_ABS_TOL = 1e-10
 class FirstColumnSample:
     """Frozen draw of the columns H u, the common-random-numbers core.
 
-    u is a unit direction, e_1 unless one is given. The columns are kept as
-    one (d, n) array. For finite-support laws the 'draws' are the exact
-    b-fold sum support with its probabilities, making every downstream value
-    deterministic (stderr 0). ``v(xi) = |(I - xi*H) u|`` is recomputable for
-    any xi from the frozen columns, so one sample powers whole s- and
-    xi-grids. On a Monte-Carlo sample the moments read log v, so each term
-    v^s is exp(s log v); an exact sample keeps v^s, so its values stay
-    exact. The sample is safe to share between threads: each thread keeps
-    the array of the last xi it evaluated, so threads at different xi do
-    not evict each other's arrays.
+    u is a unit direction, e_1 unless one is given. Each column is kept as
+    ``t`` = <H u, u> and ``r`` = |H u - t u|, 16 bytes per draw at any d. For
+    finite-support laws the 'draws' are the exact b-fold sum support with its
+    probabilities, making every downstream value deterministic (stderr 0).
+    ``v(xi) = |(I - xi*H) u|`` is recomputable for any xi from the frozen
+    pairs, so one sample powers whole s- and xi-grids. On a Monte-Carlo
+    sample the moments read log v, so each term v^s is exp(s log v); an
+    exact sample keeps v^s, so its values stay exact. The sample is safe to
+    share between threads: each thread keeps the array of the last xi it
+    evaluated, so threads at different xi do not evict each other's arrays.
     """
 
     def __init__(self, spec: ModelSpec, samples: int, seed: mc.Seed,
@@ -67,18 +67,20 @@ class FirstColumnSample:
         self.u = u / np.linalg.norm(u)
         support = h_sum_support(spec)
         if support is not None:
-            self.cols = np.stack([h @ self.u for h, _ in support], axis=1)
+            cols = np.stack([h @ self.u for h, _ in support], axis=1)
             self.weights = np.array([p for _, p in support])
         else:
             def task(rng, m):
                 if direction is None:
                     return sample_h_columns(spec, m, rng)
                 return np.concatenate([h @ self.u for h in iter_h_blocks(spec, m, rng)])
-            self.cols = np.ascontiguousarray(
-                mc.parallel_map(task, samples, seed, self.workers).T)
+            cols = np.ascontiguousarray(
+                mc.parallel_map(task, samples, seed, self.workers).reshape(-1, spec.d).T)
             self.weights = None
+        self.t = sum(c * uj for c, uj in zip(cols, self.u))
+        self.r = np.sqrt(sum((c - self.t * uj) ** 2 for c, uj in zip(cols, self.u)))
         self.exact = self.weights is not None
-        self.n = self.cols.shape[-1]
+        self.n = self.t.size
         self._last_v = threading.local()  # per thread: (xi, log, array) of its last xi
 
     def v(self, xi: float, log: bool = False) -> np.ndarray:
@@ -95,14 +97,12 @@ class FirstColumnSample:
             return last[2]
         # free the old array first, so the new one does not add to it
         self._last_v.last = last = None
-        # row by row in place: the same sum, in the same order, as
-        # sqrt(((u[:, None] - xi * cols) ** 2).sum(axis=0)), with one (n,)
-        # temporary in place of two (d, n) ones
-        out, term = np.zeros(self.n), np.empty(self.n)
-        for uj, cj in zip(self.u, self.cols):
-            np.multiply(cj, xi, out=term)
-            np.subtract(uj, term, out=term)
-            out += np.square(term, out=term)
+        # |(I - xi H) u|^2 = (1 - xi t)^2 + (xi r)^2, as H u - t u is orthogonal
+        # to u: no term is negative, so nothing cancels. At d <= 2 along e_1, t = c_1
+        # and r = sqrt(c_2^2) = |c_2| exactly, so v has the column formula's bits.
+        out, term = np.multiply(self.t, xi), np.multiply(self.r, xi)
+        np.square(np.subtract(1.0, out, out=out), out=out)
+        out += np.square(term, out=term)
         np.sqrt(out, out=out)
         if log:
             with np.errstate(divide="ignore"):
@@ -189,7 +189,7 @@ class FirstColumnSample:
 
     def mean_h11(self) -> mc.McEstimate:
         """E <H u, u> on the frozen draw (positivity precondition checks)."""
-        return self._moment(self.u @ self.cols, "non-finite")
+        return self._moment(self.t, "non-finite")
 
 
 def product_log_norms(spec: ModelSpec, n: int, draws: int,

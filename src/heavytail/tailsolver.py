@@ -113,8 +113,8 @@ def solve_xi1(cols: FirstColumnSample) -> float:
     """Unique xi_1 > 0 with h(xi_1, 1) = 1, by brentq in xi.
 
     Precondition E<H e_1, e_1> > 0 is estimated on the frozen draw and must
-    hold beyond 3 standard errors. The same frozen columns evaluate h(xi, 1)
-    for every xi (the columns do not depend on xi), so g(xi) = h(xi, 1) - 1
+    hold beyond 3 standard errors. The same frozen draw evaluates h(xi, 1)
+    for every xi (the draw does not depend on xi), so g(xi) = h(xi, 1) - 1
     is convex with g(0) = 0, and g(hi/1024) < 0 <= g(hi) with
     hi = 16 / E<H e_1, e_1> decides whether the root is on that interval.
     """

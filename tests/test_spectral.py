@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from heavytail import mc
 from heavytail.cli import EXIT_OK, main
-from heavytail.models import MixtureLaw, h_sum_support, rank1_gauss, symm
+from heavytail.models import (GoeLaw, MixtureLaw, ModelSpec, Variant, h_sum_support,
+                              iter_h_blocks, rank1_gauss, sample_h_columns, symm)
 from heavytail import spectral
 from heavytail.spectral import FirstColumnSample, ProductSample, quadrature_oracle_d1
 
@@ -347,18 +348,59 @@ def test_zero_norm_atom_excluded_with_warning():
 
 # --- v(xi), kept per thread ---------------------------------------------------
 
-def _v_reference(cols, xi):
-    return np.sqrt(((cols.u[:, None] - xi * cols.cols) ** 2).sum(axis=0))
+EPS = np.finfo(float).eps
+
+
+def _columns(spec, samples, seed, workers=1, direction=None):
+    """The unit u and the (d, n) columns H u that a ``FirstColumnSample`` of
+    these arguments reduces to (t, r), drawn again with its task."""
+    u = np.eye(spec.d)[0] if direction is None else np.asarray(direction, dtype=float)
+    u = u / np.linalg.norm(u)
+    support = h_sum_support(spec)
+    if support is not None:
+        return u, np.stack([h @ u for h, _ in support], axis=1)
+
+    def task(rng, m):
+        if direction is None:
+            return sample_h_columns(spec, m, rng)
+        return np.concatenate([h @ u for h in iter_h_blocks(spec, m, rng)])
+    cols = mc.parallel_map(task, samples, seed, workers).reshape(-1, spec.d)
+    return u, np.ascontiguousarray(cols.T)
+
+
+def _v_columns(u, cols, xi):
+    """The column formula |u - xi H u| per draw, summed over d in index order."""
+    return np.sqrt(((u[:, None] - xi * cols) ** 2).sum(axis=0))
+
+
+def _assert_v_matches_columns(sample, u, cols, xi, bitwise):
+    """v is sqrt((1 - xi t)^2 + (xi r)^2) on the kept (t, r) bit for bit, and
+    the column formula to 8 eps (1 + xi |H u|), or bit for bit when
+    ``bitwise``; returns the worst |dv| / (eps (1 + xi |H u|))."""
+    got = sample.v(xi)
+    pairs = np.sqrt((1 - xi * sample.t) ** 2 + (xi * sample.r) ** 2)
+    assert np.array_equal(got.view(np.int64), pairs.view(np.int64))
+    want = _v_columns(u, cols, xi)
+    if bitwise:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    ratio = np.abs(got - want) / (EPS * (1 + xi * np.sqrt((cols ** 2).sum(axis=0))))
+    assert np.all(ratio <= 8.0), ratio.max()
+    return float(ratio.max(initial=0.0))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("direction", [None, "tilted"])
 def test_v_bitwise_equal_to_column_formula_and_read_only(d, direction):
+    # bitwise at d = 1 along any u and at d = 2 along e_1; else within the
+    # rounding bound, and bitwise the (t, r) formula
+    spec = rank1_gauss(d, 3, 0.7)
     u = None if direction is None else np.arange(1.0, d + 1.0)
-    cols = FirstColumnSample(rank1_gauss(d, 3, 0.7), 5001, seed=41, direction=u)
+    cols = FirstColumnSample(spec, 5001, seed=41, direction=u)
+    unit, columns = _columns(spec, 5001, 41, direction=u)
     for xi in (0.0, 0.1, 0.37, 2.5):
+        _assert_v_matches_columns(cols, unit, columns, xi,
+                                  bitwise=d == 1 or (d == 2 and direction is None))
         got = cols.v(xi)
-        assert np.array_equal(got.view(np.int64), _v_reference(cols, xi).view(np.int64))
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[0] = 1.0
@@ -385,9 +427,11 @@ def test_v_concurrent_distinct_xi_from_threads():
     import threading
     import weakref
 
-    cols = FirstColumnSample(rank1_gauss(2, 8, 1.5), 3000, seed=43, workers=2)
+    spec = rank1_gauss(2, 8, 1.5)
+    cols = FirstColumnSample(spec, 3000, seed=43, workers=2)
+    u, columns = _columns(spec, 3000, 43, workers=2)
     grids = [np.linspace(0.01, 0.4, 25) + k * 1e-3 for k in range(6)]
-    want = {xi: _v_reference(cols, xi) for g in grids for xi in g}
+    want = {xi: _v_columns(u, columns, xi) for g in grids for xi in g}
     errors, refs = [], []
 
     def sweep(grid):
@@ -416,9 +460,66 @@ def test_v_concurrent_distinct_xi_from_threads():
     assert [r for r in refs if r() is not None] == []
 
 
-# --- log-domain moments against the direct v ** s forms ----------------------
+def _mixture(atoms):
+    return MixtureLaw(tuple(atoms), tuple(np.full(len(atoms), 1 / len(atoms))))
 
-EPS = np.finfo(float).eps
+
+@seed(24)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), d=st.integers(1, 5),
+       law=st.sampled_from(["rank1gauss", "goe", "rank1-mixture", "exact"]),
+       b=st.integers(1, 3), samples=st.integers(1, 400), workers=st.integers(1, 2),
+       tilted=st.booleans(), sample_seed=st.integers(0, 2**32 - 1),
+       xi=st.floats(0.01, 3.0))
+def test_pairs_give_the_column_formula_for_every_law_and_direction(
+        data, d, law, b, samples, workers, tilted, sample_seed, xi):
+    entries = st.floats(-3.0, 3.0)
+
+    def atoms(size):
+        return st.lists(st.lists(entries, min_size=size, max_size=size),
+                        min_size=1, max_size=3)
+    if law == "rank1gauss":
+        spec = rank1_gauss(d, b, 1.0)
+    elif law == "goe":
+        spec = symm(d, b, 1.0, GoeLaw(d))
+    elif law == "rank1-mixture":
+        a_law = _mixture([np.array(a) for a in data.draw(atoms(d))])
+        spec = ModelSpec(Variant.RANK1, d, b, 1.0, a_law=a_law)
+    else:
+        squares = [np.reshape(m, (d, d)) for m in data.draw(atoms(d * d))]
+        spec = symm(d, b, 1.0, _mixture([(m + m.T) / 2 for m in squares]))
+    direction = np.array(data.draw(st.lists(entries, min_size=d, max_size=d))) if tilted else None
+    assume(direction is None or np.linalg.norm(direction) > 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # laws not rotation-invariant
+        sample = FirstColumnSample(spec, samples, sample_seed, workers, direction)
+        h11 = sample.mean_h11().mean
+    u, cols = _columns(spec, samples, sample_seed, workers, direction)
+    assert sample.exact == (law == "exact")
+    assert not hasattr(sample, "cols")
+    assert sample.t.nbytes + sample.r.nbytes == 16 * sample.n == 16 * cols.shape[1]
+
+    # t is <H u, u> summed in index order, and mean_h11 is its moment: at
+    # e_1 also the moment of u @ cols, as the columns gave it
+    t = sum(c * uj for c, uj in zip(cols, u))
+    assert np.array_equal(sample.t, t)
+
+    def moment(values):
+        if sample.exact:
+            return float(values @ sample.weights)
+        return mc.estimate_from_values(values).mean
+    assert h11 == moment(t)
+    if direction is None:
+        assert h11 == moment(u @ cols)
+
+    bitwise = d == 1 or (d == 2 and direction is None)
+    # 1 / t of a draw puts its 1 - xi t near 0, where v is smallest
+    near_root = [1 / sample.t[0]] if sample.t[0] > 1e-3 else []
+    for x in (0.0, xi, *near_root):
+        _assert_v_matches_columns(sample, u, cols, x, bitwise)
+
+
+# --- log-domain moments against the direct v ** s forms ----------------------
 
 
 def _direct(v, s):
@@ -475,11 +576,11 @@ def test_log_domain_moments_match_direct_powers(d, b, samples, sample_seed, xi, 
 @given(d=st.integers(1, 3), zeros=st.integers(1, 20), k=st.integers(0, 3),
        s=st.floats(0.0, 30.0))
 def test_log_domain_skips_zero_norms_as_the_direct_forms(d, zeros, k, s):
-    # columns u / xi with xi a power of two give v = 0 exactly: v^s is 0 and
-    # kept (s > 0), its term in dh/ds (0 * -inf) and gamma (-inf) skipped
+    # t = 1 / xi and r = 0 with xi a power of two give v = 0 exactly: v^s is
+    # 0 and kept (s > 0), its term in dh/ds (0 * -inf) and gamma (-inf) skipped
     xi = 2.0 ** -k
     cols = FirstColumnSample(rank1_gauss(d, 2, 1.0), 500, seed=50)
-    cols.cols[:, :zeros] = (cols.u / xi)[:, None]
+    cols.t[:zeros], cols.r[:zeros] = 1 / xi, 0.0
     assert np.count_nonzero(cols.v(xi) == 0.0) == zeros
     got = _assert_log_domain_matches_direct(cols, xi, s, cols.v(xi))
     assert got["dh_ds"].skipped == zeros
@@ -493,10 +594,10 @@ def test_log_domain_skips_zero_norms_as_the_direct_forms(d, zeros, k, s):
 @given(d=st.integers(1, 3), huge=st.integers(1, 20), xi=st.floats(0.01, 2.0),
        s=st.floats(20.0, 30.0))
 def test_log_domain_skips_overflow_as_the_direct_forms(d, huge, xi, s):
-    # a column entry of 1e40 puts s log v above 1,700, far past the double
-    # range (709.8); the Gaussian draws stay below s log v = 200
+    # a t of 1e40 puts s log v above 1,700, far past the double range
+    # (709.8); the Gaussian draws stay below s log v = 200
     cols = FirstColumnSample(rank1_gauss(d, 2, 1.0), 500, seed=51)
-    cols.cols[0, :huge] = 1e40
+    cols.t[:huge] = 1e40
     got = _assert_log_domain_matches_direct(cols, xi, s, cols.v(xi)[huge:])
     assert got["h"].skipped == got["dh_ds"].skipped == huge
     assert cols.h_row(xi, [s])[0] == np.inf

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heavytail.models import MixtureLaw, ModelSpec, Variant, rank1_gauss, symm
-from heavytail import tailsolver
+from heavytail.models import (MixtureLaw, ModelSpec, Variant, h_sum_support, rank1_gauss,
+                              sample_h_columns, symm)
+from heavytail import mc, tailsolver
 from heavytail.spectral import FirstColumnSample, quadrature_oracle_d1
 from heavytail.tailsolver import (AlphaSolve, RangeError, SolveStatus, alpha_curve,
                                   contour_grid, marching_squares, solve_alpha,
@@ -332,20 +333,24 @@ def test_contour_eta_grid_crossing_decreases():
 
 
 def _serial_contour(spec, param, param_grid, s_grid, samples, seed, workers):
-    # column by column, with v from the column formula and each cell of
-    # these Monte-Carlo samples the mean of exp(s log v)
+    # column by column, with v from the column formula on the columns H e_1
+    # the samples are built from, drawn again with the same seed and workers,
+    # and each cell of these Monte-Carlo samples the mean of exp(s log v)
     h = np.full((len(param_grid), len(s_grid)), np.nan)
     for i, p in enumerate(param_grid):
         if param == "eta":
-            cols, xi = FirstColumnSample(spec, samples, seed, workers), p / spec.b
+            spec_p, seed_p, xi = spec, seed, p / spec.b
         elif p != int(p):
             continue
         else:
-            spec_b = replace(spec, b=int(p))
-            cols = FirstColumnSample(spec_b, samples, (seed, i), workers)
-            xi = spec_b.xi
-        assert not cols.exact
-        log_v = np.log(np.sqrt(((cols.u[:, None] - xi * cols.cols) ** 2).sum(axis=0)))
+            spec_p, seed_p = replace(spec, b=int(p)), (seed, i)
+            xi = spec_p.xi
+        assert h_sum_support(spec_p) is None
+        cols = mc.parallel_map(lambda rng, m: sample_h_columns(spec_p, m, rng),
+                               samples, seed_p, workers)
+        e_1 = np.eye(spec.d)[0]
+        log_v = np.log(np.sqrt(((e_1[:, None] - xi * np.ascontiguousarray(cols.T)) ** 2)
+                               .sum(axis=0)))
         for j, s in enumerate(s_grid):
             h[i, j] = 1.0 if s == 0 else float(np.mean(np.exp(s * log_v)))
     return h
