@@ -138,31 +138,31 @@ def rows(ht):
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def parse_args(argv, description: str, default_out: Path) -> argparse.Namespace:
+    """``--src``, ``--out`` and ``--repeats`` (at least 5); also sets one
+    BLAS/OpenMP thread, before numpy loads (the rows name their workers), and
+    puts ``--src`` first on the path, so ``import heavytail`` times it."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the heavytail package to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_frozen_moments.json")
+    parser.add_argument("--out", type=Path, default=default_out)
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     if args.repeats < 5:
         parser.error("--repeats must be >= 5")
-    # one BLAS/OpenMP thread, set before numpy loads; the rows name their workers
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    # imported here, once --src is on the path
     sys.path.insert(0, str(args.src.resolve()))
-    import numpy as np
-    import scipy
+    return args
 
-    import heavytail.models
-    import heavytail.spectral
-    import heavytail.tailsolver
 
+def time_rows(rows, repeats: int) -> list[dict]:
+    """Every time of each (name, workload, prepare, timed) row, with the
+    median and quartiles; the first run of a row is a warm-up and untimed."""
     results = []
-    for name, workload, prepare, timed in rows(heavytail):
+    for name, workload, prepare, timed in rows:
         times = []
-        for k in range(args.repeats + 1):
+        for k in range(repeats + 1):
             arg = prepare()
             t0 = time.perf_counter()
             timed(arg)
@@ -173,16 +173,15 @@ def main(argv=None) -> int:
                         "q1_s": q1, "q3_s": q3, "times_s": times})
         print(f"{name:<26} {workload:<48} {median * 1e3:9.2f} ms "
               f"[{q1 * 1e3:.2f}, {q3 * 1e3:.2f}]")
+    return results
 
-    kept = []
-    for spec, cols in sweep(heavytail):
-        kept.append({"d": spec.d, "b": spec.b, "draws": cols.n, "bytes": kept_bytes(cols),
-                     "bytes_per_draw": kept_bytes(cols) / cols.n})
-        print(f"kept bytes, d = {spec.d:<3} {cols.n:.0e} draws, b = {spec.b:<2} "
-              f"{kept[-1]['bytes'] / 2**20:9.2f} MiB ({kept[-1]['bytes_per_draw']:g} B/draw)")
 
-    record = {
-        "bench": "frozen_moments",
+def record(bench: str, args: argparse.Namespace, results: list[dict]) -> dict:
+    """The JSON record of a run: date, sources timed, machine and rows."""
+    import numpy as np
+    import scipy
+    return {
+        "bench": bench,
         "date_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "heavytail_src_sha256": _sources_sha256(args.src),
         "repeats": args.repeats,
@@ -191,9 +190,25 @@ def main(argv=None) -> int:
                     "python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__},
         "rows": results,
-        "kept_bytes": kept,
     }
-    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv, __doc__.splitlines()[0], ROOT / "BENCH_frozen_moments.json")
+    import heavytail.models
+    import heavytail.spectral
+    import heavytail.tailsolver
+
+    results = time_rows(rows(heavytail), args.repeats)
+    kept = []
+    for spec, cols in sweep(heavytail):
+        kept.append({"d": spec.d, "b": spec.b, "draws": cols.n, "bytes": kept_bytes(cols),
+                     "bytes_per_draw": kept_bytes(cols) / cols.n})
+        print(f"kept bytes, d = {spec.d:<3} {cols.n:.0e} draws, b = {spec.b:<2} "
+              f"{kept[-1]['bytes'] / 2**20:9.2f} MiB ({kept[-1]['bytes_per_draw']:g} B/draw)")
+    out = record("frozen_moments", args, results)
+    out["kept_bytes"] = kept
+    args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -297,37 +297,24 @@ def _bartlett_factor(spec: ModelSpec, n: int,
     return [[cols[j][i - j] for j in range(min(i + 1, spec.b))] for i in range(spec.d)]
 
 
-def _dot(xs, ys) -> np.ndarray:
+def _dot(xs, ys, out=None) -> np.ndarray:
     """sum_k xs[k] * ys[k] over the shorter of two lists of arrays."""
-    v = xs[0] * ys[0]
+    v = np.multiply(xs[0], ys[0], out=out)
     for x, y in zip(xs[1:], ys[1:]):
         v += x * y
     return v
 
 
-# Rows per copy when per-entry arrays are stacked into rows. At 1e5 draws,
-# one np.stack of the d * d = 16 entries of H took 10.3 ms and blocks of
-# 4096 rows, which stay in cache, 5.2 ms (0.71 against 0.61 ms at d = 2).
-_STACK_ROWS = 4096
-
-
-def _stack_columns(cols: list[np.ndarray]) -> np.ndarray:
-    """The (n, k) array whose column i is cols[i]."""
-    out = np.empty((cols[0].size, len(cols)))
-    for lo in range(0, out.shape[0], _STACK_ROWS):
-        rows = slice(lo, lo + _STACK_ROWS)
-        np.stack([c[rows] for c in cols], axis=-1, out=out[rows])
-    return out
-
-
 def _bartlett_h(low: list[list[np.ndarray]]) -> np.ndarray:
-    """H = L L^T, shape (n, d, d), built entry by entry. At d = 2 and 1e5
-    draws a stacked L @ L^T took 25 ms and einsum("nik,njk->nij") was no
-    faster; the entry-wise products took 1.6 ms."""
+    """H = L L^T as (d, d, n) entry rows, the kernel's layout, behind an
+    (n, d, d) view. At d = 2 and 1e5 draws a stacked L @ L^T took 25 ms and
+    einsum("nik,njk->nij") was no faster; entry-wise products took 1.6 ms."""
     d = len(low)
-    lower = [[_dot(low[i], low[j]) for j in range(i + 1)] for i in range(d)]
-    return _stack_columns([lower[max(i, j)][min(i, j)]
-                           for i in range(d) for j in range(d)]).reshape(-1, d, d)
+    h = np.empty((d, d, low[0][0].size))
+    for i in range(d):
+        for j in range(i + 1):
+            h[j, i] = _dot(low[i], low[j], out=h[i, j])
+    return h.transpose(2, 0, 1)
 
 
 def _draw(spec: ModelSpec, n: int, rng: np.random.Generator,
@@ -339,20 +326,25 @@ def _draw(spec: ModelSpec, n: int, rng: np.random.Generator,
     N(0, I_min(b, d)), and returns (L L^T, xi L z): H is Wishart_d(b, I) and
     B | H is N(0, xi^2 H), the joint law of the sums over a_i ~ N(0, I_d)
     and y_i ~ N(0, 1) (Bartlett 1933; Odell & Feiveson 1966), from at most
-    d(d+1)/2 + d variates in place of b(d+1). Other rank1 laws draw all a's
-    through ``a_law``, then all y's through ``y_law``. Skipping B changes no
-    H, since B is drawn last.
+    d(d+1)/2 + d variates in place of b(d+1), each entry of H and B one
+    contiguous row of n draws (as ``ProductState.step`` reads them) behind an
+    (n, d, d) or (n, d) view. Other rank1 laws draw all a's through
+    ``a_law``, then all y's through ``y_law``. Skipping B changes no H, since
+    B is drawn last.
     """
     if spec.variant is Variant.SYMM:
         h = spec.h_law.sample_sum(n, spec.b, rng)
         return h, spec.b_law.sample(n, rng) if with_b else None
     if gaussian_rank1(spec):
         low = _bartlett_factor(spec, n, rng)
-        bvec = None
-        if with_b:
-            z = rng.standard_normal((min(spec.b, spec.d), n))
-            bvec = spec.xi * _stack_columns([_dot(row, z) for row in low])
-        return _bartlett_h(low), bvec
+        if not with_b:
+            return _bartlett_h(low), None
+        z = rng.standard_normal((min(spec.b, spec.d), n))
+        bvec = np.empty((spec.d, n))
+        for row, out in zip(low, bvec):
+            _dot(row, z, out=out)
+        bvec *= spec.xi
+        return _bartlett_h(low), bvec.T
     a = spec.a_law.sample(n * spec.b, rng).reshape(n, spec.b, spec.d)
     # Reversing the b axis (the summation order) gives negative strides,
     # which keep numpy's matmul in its own small-matrix loop. At d = 2, b = 8
@@ -398,11 +390,12 @@ def sample_h_columns(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.nd
     This is the only part of H entering |(I - xi H) e_1|; ``FirstColumnSample``
     keeps two numbers of it. A Bartlett law draws only L's first column, so
     H e_1 = (c, sqrt(c) g) with c ~ chi^2_b and g ~ N(0, I_{d-1}). Other laws
-    take the column of H blockwise.
+    take the column of H blockwise. The Bartlett column is the (n, d) view of
+    a (d, n) array, as ``FirstColumnSample`` reduces it by entry rows.
     """
     if gaussian_rank1(spec):
         first = _bartlett_column(spec, 0, n, rng)
-        return _stack_columns([first[0] * v for v in first])
+        return (first[0] * np.stack(first)).T
     # a copy per block: a view would keep every H block alive until the end
     return np.concatenate([h[:, :, 0].copy() for h in iter_h_blocks(spec, n, rng)])
 

@@ -84,7 +84,8 @@ class ProductState:
 
     def step(self, a: np.ndarray, b: np.ndarray | None = None) -> None:
         """R += Pi b (unless b is None), then Pi <- Pi a, for (m, d, d) a and
-        (m, d) b. R is replaced, not updated in place, so a caller can keep
+        (m, d) b, read as entry rows of any strides (contiguous for Bartlett
+        draws). R is replaced, not updated in place, so a caller can keep
         the previous one. With ``gaussian_b``, b is None and Pi Pi^T is added
         to the pending covariance instead."""
         pi, d = self.pi_entries, len(self.pi_entries)

@@ -39,6 +39,13 @@ GAUSS_TAIL_CUT = 40.0  # N(0,1) mass beyond |a|=40 is < 1e-300
 QUAD_ABS_TOL = 1e-10
 
 
+def _pairs(rows, u: np.ndarray) -> np.ndarray:
+    """The (n, 2) pairs (t, r) of n columns H u given as their d entry rows."""
+    t = sum(c * uj for c, uj in zip(rows, u))
+    r = np.sqrt(sum((c - t * uj) ** 2 for c, uj in zip(rows, u)))
+    return np.stack((t, r), axis=-1)
+
+
 class FirstColumnSample:
     """Frozen draw of the columns H u, the common-random-numbers core.
 
@@ -67,18 +74,16 @@ class FirstColumnSample:
         self.u = u / np.linalg.norm(u)
         support = h_sum_support(spec)
         if support is not None:
-            cols = np.stack([h @ self.u for h, _ in support], axis=1)
+            pairs = _pairs(np.stack([h @ self.u for h, _ in support], axis=1), self.u)
             self.weights = np.array([p for _, p in support])
         else:
             def task(rng, m):
-                if direction is None:
-                    return sample_h_columns(spec, m, rng)
-                return np.concatenate([h @ self.u for h in iter_h_blocks(spec, m, rng)])
-            cols = np.ascontiguousarray(
-                mc.parallel_map(task, samples, seed, self.workers).reshape(-1, spec.d).T)
+                cols = (sample_h_columns(spec, m, rng) if direction is None else
+                        np.concatenate([h @ self.u for h in iter_h_blocks(spec, m, rng)]))
+                return _pairs(cols.T, self.u)
+            pairs = mc.parallel_map(task, samples, seed, self.workers).reshape(-1, 2)
             self.weights = None
-        self.t = sum(c * uj for c, uj in zip(cols, self.u))
-        self.r = np.sqrt(sum((c - self.t * uj) ** 2 for c, uj in zip(cols, self.u)))
+        self.t, self.r = (np.ascontiguousarray(c) for c in pairs.T)
         self.exact = self.weights is not None
         self.n = self.t.size
         self._last_v = threading.local()  # per thread: (xi, log, array) of its last xi

@@ -745,6 +745,7 @@ def test_two_workers_byte_identical_across_runs(cmd, tmp_path):
 
 _D2B4 = ["--model", "rank1gauss", "--d", "2", "--b", "4"]
 _D2B8 = ["--model", "rank1gauss", "--d", "2", "--b", "8"]
+_D3B4 = ["--model", "rank1gauss", "--d", "3", "--b", "4"]
 
 # Small runs of the frozen-sample commands at --seed 7 --workers 2. The
 # closed kcurve grid reaches past s_max = 30, so two of its rows are capped.
@@ -762,6 +763,9 @@ FROZEN_SAMPLE_COMMANDS = {
     "contour-b": ["contour", "--model", "rank1gauss", "--d", "2", "--b", "1",
                   "--eta", "0.75", "--param", "b", "--param-grid", "1,2,3",
                   "--s-grid", "0.5:0.5:3", "--samples", "1000"],
+    "simulate-d2b8": ["simulate", *_D2B8, "--eta", "1.5", "--samples", "300"],
+    "simulate-d3b4": ["simulate", *_D3B4, "--eta", "1.0", "--samples", "300"],
+    "operator-d2b4": ["operator", *_D2B4, "--eta", "0.5", "--bins", "16", "--samples", "300"],
 }
 
 # sha256 of the CSV, then the SVG (contour only), then standard output, as
@@ -778,6 +782,10 @@ FROZEN_SAMPLE_COMMANDS = {
 # stderr_alpha by <= 3.2e-16, the contour-b cells by <= 3.4e-16 and the
 # kcurve-closed estimates and stderrs (s up to 29) by <= 1.9e-15; residual,
 # gamma, the contour-b SVG and every standard output kept their bytes.
+# simulate-d2b8 and simulate-d3b4 pin the stop-rule loop on Bartlett draws
+# (B and A read by entry rows, three-term sums at d = 3), and operator-d2b4
+# the operator build on them; each was taken before the draws were written
+# as entry rows, which kept these bytes.
 FROZEN_SAMPLE_SHA256 = {
     "alpha": "5dbc6495aefb614e8dd4935421a2668bab2f488dddd39ee077547bf2e95c8154",
     "alphacurve": "9007b4dc1e18e06e01f00c938a45d7b5a80168d100a424cea7af5e3588545f0a",
@@ -787,6 +795,9 @@ FROZEN_SAMPLE_SHA256 = {
     "lyapunov-closed": "358e3c103238679ad72be0f8831f86b37a04bc106abd745f8863cf6b23eec592",
     "lyapunov-subadditive":
         "f4e5cd28fd2733a55e83fc4f6d92ba5b4c5d155cff6cd9d9e206ddd04ea99ee7",
+    "operator-d2b4": "c8fba2ecd03dec51f0f82e0690d7d28cce2b0ffc954903c1fe89c2eed14e76f8",
+    "simulate-d2b8": "95c08f102111460e6371525ec75931566964fe592e49189afd2388b3592c1e9f",
+    "simulate-d3b4": "004ce99ad6e1aa2a50bee6bc024dc90485e8abb4782363ccb21bda3d6bfaa31c",
 }
 
 

@@ -295,6 +295,17 @@ def test_bartlett_columns_equal_first_column_of_sums():
     assert np.array_equal(h, full)
 
 
+@pytest.mark.parametrize("d, b", [(1, 1), (2, 8), (3, 4), (3, 2)])
+def test_bartlett_draws_are_contiguous_entry_rows(d, b):
+    # ProductState.step reads A and B, and FirstColumnSample reads H e_1, as
+    # rows of one entry over the draws; Bartlett draws are laid out that way
+    spec = rank1_gauss(d=d, b=b, eta=0.6)
+    h, bvec = sample_pairs(spec, 1000, mc.substream(14))
+    assert pair_a(spec, h).transpose(1, 2, 0).flags.c_contiguous
+    assert bvec.T.flags.c_contiguous
+    assert sample_h_columns(spec, 1000, mc.substream(14)).T.flags.c_contiguous
+
+
 def test_singular_bartlett_and_a_draw_path_for_non_gaussian_laws():
     # b < d: a singular Bartlett H of rank b, with the same first column
     # and H from every sampler on one stream
