@@ -10,7 +10,7 @@ output files. Exit codes: 0 success, 2 configuration/usage error,
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import math
 import sys
 import warnings
@@ -36,11 +36,17 @@ MAX_GRID_POINTS = 10_000
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
-    # csv writes a float as repr(float(x)), the shortest round-trip form
+    """Write the header and rows, each of len(header) fields, as CSV lines.
+
+    Fields are numbers and fixed labels, so none needs quoting: each is
+    written as ``str`` writes it (a float in its shortest round-trip form),
+    the bytes ``csv.writer`` gives for them.
+    """
+    fmt = ",".join(["{}"] * len(header)) + "\n"
+
     def dump(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(fmt.format(*header))
+        fh.writelines(itertools.starmap(fmt.format, rows))
 
     if path is None:
         dump(sys.stdout)

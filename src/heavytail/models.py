@@ -279,13 +279,18 @@ def independent_gaussian_b(spec: ModelSpec) -> bool:
 # 2.3-3.1 ms with |N(0, 1)| and 2.1-2.9 ms on the a-draw path; at
 # d = b = 2 the three took 8.7, 6.5 and 9.6 ms.
 def _bartlett_column(spec: ModelSpec, j: int, n: int,
-                     rng: np.random.Generator) -> list[np.ndarray]:
-    """Column j of n Bartlett factors: [L_jj, L_{j+1,j}, ..., L_{d-1,j}],
-    one contiguous array of n draws per entry. L_jj = sqrt(chi^2_{b-j}) is
-    drawn first, then the N(0, 1) entries below it."""
+                     rng: np.random.Generator) -> np.ndarray:
+    """Column j of n Bartlett factors as one (d - j, n) array, rows
+    L_jj, L_{j+1,j}, ..., L_{d-1,j} of n draws each. L_jj =
+    sqrt(chi^2_{b-j}) is drawn first, then the N(0, 1) entries below it."""
     df = spec.b - j
-    diag = np.abs(rng.standard_normal(n)) if df == 1 else np.sqrt(rng.chisquare(df, n))
-    return [diag, *rng.standard_normal((spec.d - 1 - j, n))]
+    col = np.empty((spec.d - j, n))
+    if df == 1:
+        np.abs(rng.standard_normal(out=col[0]), out=col[0])
+    else:
+        np.sqrt(rng.chisquare(df, n), out=col[0])
+    rng.standard_normal(out=col[1:])
+    return col
 
 
 def _bartlett_factor(spec: ModelSpec, n: int,
@@ -391,11 +396,14 @@ def sample_h_columns(spec: ModelSpec, n: int, rng: np.random.Generator) -> np.nd
     keeps two numbers of it. A Bartlett law draws only L's first column, so
     H e_1 = (c, sqrt(c) g) with c ~ chi^2_b and g ~ N(0, I_{d-1}). Other laws
     take the column of H blockwise. The Bartlett column is the (n, d) view of
-    a (d, n) array, as ``FirstColumnSample`` reduces it by entry rows.
+    the (d, n) array L's first column is drawn into, scaled in place, as
+    ``FirstColumnSample`` reduces it by entry rows.
     """
     if gaussian_rank1(spec):
         first = _bartlett_column(spec, 0, n, rng)
-        return (first[0] * np.stack(first)).T
+        first[1:] *= first[0]
+        first[0] *= first[0]
+        return first.T
     # a copy per block: a view would keep every H block alive until the end
     return np.concatenate([h[:, :, 0].copy() for h in iter_h_blocks(spec, n, rng)])
 

@@ -14,12 +14,15 @@ v_i = |(I - xi*H_i) u| is the norm of an affine function of xi, so h(., 1)
 is convex in xi with h(0, 1) = 1. The set where h < 1 is therefore an
 interval starting at 0, and the signs of h - 1 at the two ends of the search
 interval decide whether a root exists on it, and that it is unique. When
-they differ, ``scipy.optimize.brentq`` finds it. ``alpha_curve`` solves
-xi_1 and all its points on one draw, so its alphas and xi_1 agree.
+they differ, ``_brentq`` finds it: scipy's C ``brentq`` step for step, given
+the two end values the sign test already computed, so no solve loads
+``scipy.optimize``. ``alpha_curve`` solves xi_1 and all its points on one
+draw, so its alphas and xi_1 agree.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -35,7 +38,7 @@ class SolveStatus(str, Enum):
     CONVERGED = "converged"
     NO_ROOT_BELOW_S_MAX = "no_root_below_s_max"
     GAMMA_NON_NEGATIVE = "gamma_non_negative"
-    FAILED = "failed"              # brentq did not converge, or the solve raised
+    FAILED = "failed"              # _brentq did not converge, or the solve raised
 
 
 class RangeError(RuntimeError):
@@ -64,6 +67,72 @@ class AlphaCurve:
     # (xi_left, xi_right, decreasing-beyond-combined-uncertainty) per adjacent pair
 
 
+_XTOL, _RTOL, _MAXITER = 2e-12, 4 * math.ulp(1.0), 100  # brentq's defaults
+
+
+def _div(x: float, y: float) -> float:
+    # IEEE division, as in C: x / +-0 is +-inf, or NaN for x = 0 or NaN
+    return x / y if y else x * math.copysign(math.inf, y)
+
+
+def _brentq(f, a: float, b: float, fa: float, fb: float) -> tuple[float, bool]:
+    """Root of f on [a, b], given fa = f(a) and fb = f(b), and whether it
+    converged.
+
+    This is scipy's C ``brentq`` (Brent 1973, ch. 4) step for step, with its
+    defaults: the same contrapoint bookkeeping, inverse quadratic
+    extrapolation or secant interpolation, step test, bisection and stopping
+    test, so the iterates, the root and the flag are scipy's bit for bit.
+    The arithmetic is IEEE double, as in C: an overflow is inf and a zero
+    denominator gives inf or NaN, which fail the step test and bisect. A
+    NaN value of f, and end values of one sign, raise ValueError, as scipy
+    does.
+    """
+    def checked(x: float, fx) -> float:
+        fx = float(fx)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
+    if fpre == 0:
+        return xpre, True
+    if fcur == 0:
+        return xcur, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre  # the contrapoint: f(xblk) and f(xcur) differ in sign
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # inverse quadratic
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = checked(xcur, f(xcur))
+    return xcur, False
+
+
 def solve_alpha(cols: FirstColumnSample, s_max: float = S_MAX_DEFAULT,
                 xi: float | None = None) -> AlphaSolve:
     """Root of s -> h(xi, s) - 1 on (0, s_max], frozen-draw deterministic.
@@ -71,14 +140,13 @@ def solve_alpha(cols: FirstColumnSample, s_max: float = S_MAX_DEFAULT,
     xi defaults to that of the sample's law. Status is gamma_non_negative
     when the Lyapunov estimate at xi is nonnegative beyond noise (no positive
     root exists, by convexity). Otherwise, if h is below 1 at
-    s_lo = min(1e-4, s_max / 2) and at least 1 at s_max, brentq solves on
-    [s_lo, s_max] and ``bracket`` is that interval; if not, the status is
-    no_root_below_s_max; if brentq does not converge on that interval (an
+    s_lo = min(1e-4, s_max / 2) and at least 1 at s_max, ``_brentq`` solves
+    on [s_lo, s_max] and ``bracket`` is that interval; if not, the status is
+    no_root_below_s_max; if it does not converge on that interval (an
     end value can be +inf: a term |(I - xi*H) u|^s that overflows counts as
     +inf), it is failed. stderr_alpha propagates the Monte-Carlo uncertainty
     of h through the local slope: stderr(h at root) / |dh/ds at root|.
     """
-    from scipy.optimize import brentq
     xi = cols.spec.xi if xi is None else xi
     gam = cols.gamma(xi)
 
@@ -95,10 +163,10 @@ def solve_alpha(cols: FirstColumnSample, s_max: float = S_MAX_DEFAULT,
             return cols.h_row(xi, (s,))[0] - 1.0
 
     lo, hi = min(1e-4, s_max / 2), float(s_max)
-    if not f(lo) < 0 <= f(hi):
+    if not (f_lo := f(lo)) < 0 <= (f_hi := f(hi)):
         return no_root(SolveStatus.NO_ROOT_BELOW_S_MAX)
-    root, info = brentq(f, lo, hi, full_output=True, disp=False)
-    if not info.converged:
+    root, converged = _brentq(f, lo, hi, f_lo, f_hi)
+    if not converged:
         return no_root(SolveStatus.FAILED, (lo, hi))
     h_at = cols.h(root, xi)
     slope = cols.dh_ds(root, xi).mean
@@ -110,15 +178,16 @@ def solve_alpha(cols: FirstColumnSample, s_max: float = S_MAX_DEFAULT,
 
 
 def solve_xi1(cols: FirstColumnSample) -> float:
-    """Unique xi_1 > 0 with h(xi_1, 1) = 1, by brentq in xi.
+    """Unique xi_1 > 0 with h(xi_1, 1) = 1, by ``_brentq`` in xi.
 
     Precondition E<H e_1, e_1> > 0 is estimated on the frozen draw and must
     hold beyond 3 standard errors. The same frozen draw evaluates h(xi, 1)
     for every xi (the draw does not depend on xi), so g(xi) = h(xi, 1) - 1
     is convex with g(0) = 0, and g(hi/1024) < 0 <= g(hi) with
     hi = 16 / E<H e_1, e_1> decides whether the root is on that interval.
+    No sign change there, and a solve that does not converge, raise
+    RangeError.
     """
-    from scipy.optimize import brentq
     h11 = cols.mean_h11()
     if not (h11.mean > 3.0 * h11.stderr):
         raise RangeError(
@@ -130,9 +199,12 @@ def solve_xi1(cols: FirstColumnSample) -> float:
 
     hi = 16.0 / max(h11.mean, 1e-12)
     lo = hi / 1024.0
-    if not g(lo) < 0 <= g(hi):
+    if not (g_lo := g(lo)) < 0 <= (g_hi := g(hi)):
         raise RangeError(f"no sign change of h(., 1) - 1 on [{lo:.4g}, {hi:.4g}]")
-    return float(brentq(g, lo, hi))
+    root, converged = _brentq(g, lo, hi, g_lo, g_hi)
+    if not converged:
+        raise RangeError(f"the root of h(., 1) - 1 on [{lo:.4g}, {hi:.4g}] did not converge")
+    return root
 
 
 def alpha_curve(spec: ModelSpec, xi_grid, samples: int = 200_000, seed: int = 0,

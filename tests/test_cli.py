@@ -19,7 +19,7 @@ import heavytail
 from heavytail import recursion
 from heavytail.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, INLINE_MODELS,
                            MAX_GRID_POINTS, _apply_config, _parse_grid, _subparser,
-                           build_parser, main, run_config_from_args)
+                           _write_csv, build_parser, main, run_config_from_args)
 from heavytail.empirics import angular_exceedance_test, hill_stability_scan
 from heavytail.linalg import row_norms
 from heavytail.models import ConfigurationError, load_law_file
@@ -1015,6 +1015,26 @@ def test_csv_to_stdout_when_no_out(capsys):
     assert out.splitlines()[0] == "s,estimate,stderr,method,n_used"
 
 
+def test_write_csv_gives_the_bytes_of_csv_writer(tmp_path, capsys):
+    # the field types of CLI rows: floats, ints and bools, as Python and
+    # numpy scalars, and fixed labels
+    header = ["x", "n", "label", "flag", "y"]
+    rows = [[0.1, 3, "converged", True, 1 / 3],
+            [np.float64(-0.0), np.int64(-7), "no_root_below_s_max", np.bool_(False),
+             np.float64(2.5e-300)],
+            [math.nan, math.inf, "failed", -math.inf, np.float64(np.nan)],
+            [5e-324, 1e16, "det_a", 1e-5, np.float64(-np.inf)],
+            [np.float64(1e16), np.float64(1e-5), "e1", np.bool_(True), -0.0]]
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_csv(str(tmp_path / "t.csv"), header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == ref.getvalue().encode()
+    _write_csv(None, header, iter(rows))
+    assert capsys.readouterr().out == ref.getvalue()
+
+
 def test_dump_config_round_trips_a_run(tmp_path):
     cfg_path = tmp_path / "dumped.cfg"
     out1 = tmp_path / "o1.csv"
@@ -1396,7 +1416,10 @@ for argv in (["simulate", *D2B8, "--eta", "1.5"],
              ["moments", "--law-file", "mix.law", "--alpha", "1", "--samples", "200"],
              ["tailbound", "--law-file", "mix.law", "--alpha", "1", "--n", "5",
               "--samples", "200"],
-             ["alpha", *D2B8, "--eta", "1.5"]):
+             ["alpha", *D2B8, "--eta", "1.5"],
+             ["alphacurve", *D2B8, "--eta", "1.5", "--xi-grid", "0.1,0.3"],
+             ["reproduce-fig1", "--samples", "200", "--svg", "fig1.svg"],
+             ["reproduce-fig2", "--samples", "200", "--svg", "fig2.svg"]):
     code = cli.main(argv + ["--out", "out.csv"])
     seen[argv[0]] = loaded() if code == 0 else f"exit {code}"
 print(json.dumps(seen))
@@ -1405,15 +1428,13 @@ print(json.dumps(seen))
 
 def test_only_the_commands_that_need_scipy_load_it(tmp_path):
     # scipy is imported inside the functions that call it, so a process
-    # starts without it and only a root solve loads scipy.optimize
+    # starts without it; the root solves and the figures load none of it
     (tmp_path / "mix.law").write_text(MIX_LAW)
     src = str(Path(heavytail.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, src], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    for step in ("build_parser", "simulate", "operator", "kcurve", "moments", "tailbound"):
+    for step in ("build_parser", "simulate", "operator", "kcurve", "moments", "tailbound",
+                 "alpha", "alphacurve", "reproduce-fig1", "reproduce-fig2"):
         assert seen[step] == [], step
-    assert "scipy.optimize" in seen["alpha"]
-    assert not {m for m in seen["alpha"]
-                if m.startswith(("scipy.stats", "scipy.integrate"))}

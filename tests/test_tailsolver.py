@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -495,3 +496,90 @@ def test_xi1_precondition_does_not_pass_on_one_draw():
     # 3 standard errors on it
     with pytest.raises(RangeError, match="beyond 3 standard errors"):
         solve_xi1(FirstColumnSample(rank1_gauss(2, 8, 1.5), 1, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# _brentq against scipy.optimize.brentq
+
+
+def _exp_sum(w, r, c):
+    # sum_i w_i exp(r_i x) - c, the shape of h(xi, .) - 1; an overflow is +inf
+    def f(x):
+        with np.errstate(over="ignore"):
+            return float(np.dot(w, np.exp(np.multiply(r, x)))) - c
+    return f
+
+
+_COEF = st.floats(-4, 4, allow_nan=False)
+_WEIGHTS = st.lists(st.floats(0.01, 2), min_size=1, max_size=4)
+
+
+@st.composite
+def _brackets(draw):
+    """(f, a, b) on which scipy's brentq runs: f(a) and f(b) differ in sign,
+    or one of them is 0."""
+    kind = draw(st.sampled_from(["exp_sum", "cubic", "step", "inf_end", "zero_end"]))
+    a = draw(st.floats(-3, 0.5))
+    b = a + draw(st.floats(0.01, 6))
+    if kind in ("exp_sum", "inf_end"):
+        w = draw(_WEIGHTS)
+        f = _exp_sum(w, draw(st.lists(_COEF, min_size=len(w), max_size=len(w))),
+                     draw(st.floats(0.05, 4)))
+        if kind == "inf_end":
+            a, b = draw(st.floats(1e-6, 1)), 10.0 ** draw(st.floats(3, 300))
+    elif kind == "cubic":
+        c3, c2, c1, c0 = (draw(_COEF) for _ in range(4))
+        f = lambda x: ((c3 * x + c2) * x + c1) * x + c0  # noqa: E731
+    elif kind == "step":
+        k, m = 10.0 ** draw(st.floats(0, 8)), draw(st.floats(a, b))
+        f = lambda x: math.tanh(k * (x - m)) + 0.25 * math.tanh(x)  # noqa: E731
+    else:
+        root, scale = (b if draw(st.booleans()) else a), draw(st.sampled_from([-1.0, 1.0]))
+        f = lambda x: scale * (x - root)  # noqa: E731
+    fa, fb = f(a), f(b)
+    assume(not math.isnan(fa) and not math.isnan(fb))
+    assume(fa == 0 or fb == 0 or (fa < 0) != (fb < 0))
+    return f, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(bracket=_brackets())
+def test_brentq_is_scipys_bit_for_bit(bracket):
+    from scipy.optimize import brentq
+    f, a, b = bracket
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    want, info = brentq(f, a, b, full_output=True, disp=False)
+    root, converged = tailsolver._brentq(counted, a, b, f(a), f(b))
+    assert (root.hex(), converged) == (float(want).hex(), info.converged)
+    # the end values are given, so every call is one iteration's
+    assert len(calls) == info.function_calls - 2
+
+
+def test_brentq_raises_on_nan_and_on_ends_of_one_sign():
+    from scipy.optimize import brentq
+
+    def hole(x):
+        return math.nan if 0.4 < x < 0.6 else x - 0.5
+
+    def shifted(x):
+        return x * x + 1.0
+
+    for f, a, b in ((hole, 0.0, 1.0), (shifted, -1.0, 2.0)):
+        with pytest.raises(ValueError):
+            brentq(f, a, b)
+        with pytest.raises(ValueError):
+            tailsolver._brentq(f, a, b, f(a), f(b))
+    with pytest.raises(ValueError, match="NaN"):
+        tailsolver._brentq(hole, 0.0, 1.0, math.nan, 0.5)
+
+
+def test_xi1_that_does_not_converge_is_a_range_error(monkeypatch):
+    cols = FirstColumnSample(rank1_gauss(2, 8, 1.5), 2_000, seed=0)
+    monkeypatch.setattr(tailsolver, "_MAXITER", 1)
+    with pytest.raises(RangeError, match="did not converge"):
+        solve_xi1(cols)
