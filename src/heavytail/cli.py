@@ -438,15 +438,16 @@ def _cmd_contour(args, spec: ModelSpec) -> int:
     grid = tailsolver.contour_grid(
         spec, param, _parse_grid(args.param_grid, "--param-grid"),
         _parse_grid(args.s_grid, "--s-grid"), samples=args.samples, seed=args.seed,
-        workers=args.workers, clip_level=args.clip)
+        workers=args.workers)
+    clipped = np.minimum(grid.h, args.clip)  # for display
     rows = []
     for i, p in enumerate(grid.param_grid):
         for j, s in enumerate(grid.s_grid):
-            rows.append([p, s, grid.h[i, j], grid.h_clipped[i, j]])
+            rows.append([p, s, grid.h[i, j], clipped[i, j]])
     _write_csv(args.out, [param, "s", "h", "h_clipped"], rows)
     if args.svg:
         svg = svgfig.render_heatmap_svg(
-            grid.param_grid, grid.s_grid, grid.h_clipped, grid.isoline,
+            grid.param_grid, grid.s_grid, clipped, grid.isoline,
             param_label=param, s_label="s",
             title=f"h({param}, s), clipped at {args.clip:g}; black: h = 1")
         with open(args.svg, "w", encoding="utf-8", newline="") as fh:

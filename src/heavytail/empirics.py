@@ -22,6 +22,9 @@ from .linalg import row_norms
 from .models import ModelSpec, iter_h_blocks, pair_a, wishart_h
 
 DEFAULT_TEST_LEVEL = 0.01
+MIN_EXCEEDANCES = 200  # fewer make an angular test inconclusive
+LADDER_REL_TOL = 0.01  # last two rungs closer than this, relative: stabilized
+STAM_BINS = 50         # inner-product histogram bins on (-1, 1), before merging
 
 
 class EstimationError(ValueError):
@@ -111,14 +114,13 @@ class AngularTestReport:
 
 
 def angular_exceedance_test(r_samples: np.ndarray, threshold_quantile: float = 0.99,
-                            level: float = DEFAULT_TEST_LEVEL,
-                            min_exceedances: int = 200) -> AngularTestReport:
+                            level: float = DEFAULT_TEST_LEVEL) -> AngularTestReport:
     """Uniformity tests on directions of large-norm samples (d = 2).
 
     For samples with |R| above the threshold quantile, tests the angle
     atan2(R_2, R_1) against uniformity on [0, 2pi): Kolmogorov-Smirnov plus
-    the Rayleigh resultant-length test. Too few exceedances gives an
-    inconclusive report rather than a verdict.
+    the Rayleigh resultant-length test. Fewer than 200 exceedances
+    (``MIN_EXCEEDANCES``) give an inconclusive report rather than a verdict.
     """
     from scipy import stats
     r = np.asarray(r_samples, dtype=float)
@@ -130,7 +132,7 @@ def angular_exceedance_test(r_samples: np.ndarray, threshold_quantile: float = 0
     threshold = float(np.quantile(norms, threshold_quantile))
     exceed = r[norms > threshold]
     n = len(exceed)
-    if n < min_exceedances:
+    if n < MIN_EXCEEDANCES:
         return AngularTestReport(n, threshold, np.nan, np.nan, np.nan, np.nan,
                                  level, inconclusive=True)
     theta = np.mod(np.arctan2(exceed[:, 1], exceed[:, 0]), 2 * np.pi)
@@ -165,7 +167,7 @@ class IntegrabilityReport:
     cap_grid: tuple[float, ...]
     truncated_means: tuple[float, ...]
     stderr_at_max_cap: float
-    stabilized: bool             # last two rungs differ by < rel_tol relative
+    stabilized: bool             # last two rungs differ by < LADDER_REL_TOL relative
 
     @property
     def final_value(self) -> float:
@@ -188,16 +190,15 @@ def _integrability_values(spec: ModelSpec, target: IntegrabilityTarget,
 
 def integrability_probe(spec: ModelSpec, target: IntegrabilityTarget, delta: float,
                         samples: int, cap_grid=(10.0, 100.0, 1000.0, 10000.0),
-                        seed: int = 0, rel_tol: float = 0.01,
-                        workers: int | None = None) -> IntegrabilityReport:
+                        seed: int = 0, workers: int | None = None) -> IntegrabilityReport:
     """Truncated-mean ladder E[min(X^(-delta'), cap)] over increasing caps.
 
     Targets: |det A| with delta < 1/2, the inverse operator norm (positive
     moment of ||A^{-1}||) with small delta, and the off-diagonal entry
     <H e_2, e_1> with delta < 1. Stabilization of the last two rungs below
-    ``rel_tol`` is reported as evidence of finiteness; non-stabilization is a
-    reported outcome, not an error. Infinite draws (exact zeros of the base
-    quantity) are capped, never dropped.
+    1% relative (``LADDER_REL_TOL``) is reported as evidence of finiteness;
+    non-stabilization is a reported outcome, not an error. Infinite draws
+    (exact zeros of the base quantity) are capped, never dropped.
     """
     target = IntegrabilityTarget(target)
     if target is IntegrabilityTarget.DET_A and not (0 <= delta < 0.5):
@@ -222,7 +223,7 @@ def integrability_probe(spec: ModelSpec, target: IntegrabilityTarget, delta: flo
     capped_final = np.minimum(values, cap_grid[-1])
     n = len(values)
     stderr = float(capped_final.std(ddof=1) / np.sqrt(n)) if n > 1 else np.nan
-    stabilized = abs(means[-1] - means[-2]) < rel_tol * abs(means[-2]) \
+    stabilized = abs(means[-1] - means[-2]) < LADDER_REL_TOL * abs(means[-2]) \
         if len(means) >= 2 else False
     return IntegrabilityReport(target=target, delta=delta, cap_grid=cap_grid,
                                truncated_means=means, stderr_at_max_cap=stderr,
@@ -307,12 +308,12 @@ class InnerProductCheckReport:
         return self.chi2_pvalue > level
 
 
-def stam_p2_check(b: int, samples: int, seed: mc.Seed = 0, n_bins: int = 50,
+def stam_p2_check(b: int, samples: int, seed: mc.Seed = 0,
                   workers: int | None = None) -> InnerProductCheckReport:
     """Goodness of fit of sampled <Y_1, Y_2> against the (1-u^2)^((b-3)/2) law.
 
     Y_i are uniform unit vectors in b dimensions (normalized Gaussians); the
-    histogram over ``n_bins`` equal-width bins on (-1, 1) is tested by
+    histogram over 50 equal-width bins on (-1, 1) (``STAM_BINS``) is tested by
     chi-square against exact bin masses from the Beta-function CDF.
     """
     from scipy import stats
@@ -327,7 +328,7 @@ def stam_p2_check(b: int, samples: int, seed: mc.Seed = 0, n_bins: int = 50,
         return (y1 * y2).sum(axis=1)
 
     u = mc.parallel_map(task, samples, seed, workers)
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
+    edges = np.linspace(-1.0, 1.0, STAM_BINS + 1)
     observed = np.histogram(u, bins=edges)[0].astype(float)
     cdf = unit_inner_product_cdf(edges, b)
     expected = len(u) * np.diff(cdf)

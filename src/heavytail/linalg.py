@@ -1,5 +1,5 @@
-"""Small dense norm helpers: operator norms (largest singular value) and
-Euclidean row norms.
+"""Small dense row kernels: operator norms (largest singular value),
+Euclidean row norms and the entry-row multiply-add.
 
 Accuracy target is 1e-12 relative. A 2x2 matrix [[a, b], [c, e]] has the
 largest singular value (|(a + e, b - c)| + |(a - e, b + c)|) / 2, a sum of
@@ -48,16 +48,27 @@ def batch_operator_norms(p: np.ndarray) -> np.ndarray:
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a (n, d) array, finite wherever the row
-    and its norm are. sqrt(sum x^2) overflows once an entry passes about
-    1e154; such rows are first scaled by a power of two, which is exact, and
-    every other row keeps the bits of the plain form."""
+    """Euclidean norm over the last axis of x, finite wherever the row and
+    its norm are. sqrt(sum x^2) overflows once an entry passes about 1e154;
+    such rows are first scaled by a power of two, which is exact, and every
+    other row keeps the bits of the plain form."""
     with np.errstate(over="ignore"):
-        out = np.sqrt((x * x).sum(axis=1))
+        out = np.sqrt((x * x).sum(axis=-1))
     big = np.isinf(out)
     if big.any():
         q = x[big]
-        exp = np.frexp(np.abs(q).max(axis=1))[1]
+        exp = np.frexp(np.abs(q).max(axis=-1))[1]
         scaled = np.ldexp(q, -exp[:, None])
-        out[big] = np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), exp)
+        out[big] = np.ldexp(np.sqrt((scaled * scaled).sum(axis=-1)), exp)
+    return out
+
+
+def dot_rows(out: np.ndarray, xs, ys, term: np.ndarray) -> np.ndarray:
+    """out = sum_k xs[k] * ys[k] over the shorter of two sequences of rows,
+    added in k order, with each product after the first formed in the
+    scratch row ``term``. Every entry is the plain k-order sum of its terms,
+    with no BLAS kernel."""
+    np.multiply(xs[0], ys[0], out=out)
+    for x, y in zip(xs[1:], ys[1:]):
+        out += np.multiply(x, y, out=term)
     return out

@@ -37,6 +37,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .linalg import dot_rows
+
 
 class Variant(str, Enum):
     SYMM = "symm"
@@ -302,23 +304,16 @@ def _bartlett_factor(spec: ModelSpec, n: int,
     return [[cols[j][i - j] for j in range(min(i + 1, spec.b))] for i in range(spec.d)]
 
 
-def _dot(xs, ys, out=None) -> np.ndarray:
-    """sum_k xs[k] * ys[k] over the shorter of two lists of arrays."""
-    v = np.multiply(xs[0], ys[0], out=out)
-    for x, y in zip(xs[1:], ys[1:]):
-        v += x * y
-    return v
-
-
-def _bartlett_h(low: list[list[np.ndarray]]) -> np.ndarray:
+def _bartlett_h(low: list[list[np.ndarray]], term: np.ndarray) -> np.ndarray:
     """H = L L^T as (d, d, n) entry rows, the kernel's layout, behind an
-    (n, d, d) view. At d = 2 and 1e5 draws a stacked L @ L^T took 25 ms and
-    einsum("nik,njk->nij") was no faster; entry-wise products took 1.6 ms."""
+    (n, d, d) view; ``term`` is a scratch row of n. At d = 2 and 1e5 draws a
+    stacked L @ L^T took 25 ms and einsum("nik,njk->nij") was no faster;
+    entry-wise products took 1.6 ms."""
     d = len(low)
-    h = np.empty((d, d, low[0][0].size))
+    h = np.empty((d, d, term.size))
     for i in range(d):
         for j in range(i + 1):
-            h[j, i] = _dot(low[i], low[j], out=h[i, j])
+            h[j, i] = dot_rows(h[i, j], low[i], low[j], term)
     return h.transpose(2, 0, 1)
 
 
@@ -341,15 +336,15 @@ def _draw(spec: ModelSpec, n: int, rng: np.random.Generator,
         h = spec.h_law.sample_sum(n, spec.b, rng)
         return h, spec.b_law.sample(n, rng) if with_b else None
     if gaussian_rank1(spec):
-        low = _bartlett_factor(spec, n, rng)
+        low, term = _bartlett_factor(spec, n, rng), np.empty(n)
         if not with_b:
-            return _bartlett_h(low), None
+            return _bartlett_h(low, term), None
         z = rng.standard_normal((min(spec.b, spec.d), n))
         bvec = np.empty((spec.d, n))
         for row, out in zip(low, bvec):
-            _dot(row, z, out=out)
+            dot_rows(out, row, z, term)
         bvec *= spec.xi
-        return _bartlett_h(low), bvec.T
+        return _bartlett_h(low, term), bvec.T
     a = spec.a_law.sample(n * spec.b, rng).reshape(n, spec.b, spec.d)
     # Reversing the b axis (the summation order) gives negative strides,
     # which keep numpy's matmul in its own small-matrix loop. At d = 2, b = 8
@@ -416,30 +411,32 @@ MAX_SUPPORT_ATOMS = 100_000
 
 
 def h_sum_support(spec: ModelSpec, limit: int = MAX_SUPPORT_ATOMS):
-    """Exact support of the summed H with probabilities, or None.
+    """Exact support of the summed H as ``(atoms, probs)``, a (k, d, d) stack
+    and its (k,) probabilities, or None.
 
     For a finite mixture with m atoms and batch b the support has
-    C(m+b-1, b) points (multisets with multinomial weights). Returns None
+    k = C(m+b-1, b) points (multisets with multinomial weights). Returns None
     when the law has no finite support or the expansion exceeds ``limit``.
     """
     if not spec.has_finite_h_support:
         return None
     atoms, probs = spec.h_law.atoms, spec.h_law.probs
     m = len(atoms)
-    if math.comb(m + spec.b - 1, spec.b) > limit:
+    k = math.comb(m + spec.b - 1, spec.b)
+    if k > limit:
         return None
-    out = []
+    totals, weights = np.empty((k, *atoms.shape[1:])), np.empty(k)
     fact_b = math.factorial(spec.b)
-    for combo in combinations_with_replacement(range(m), spec.b):
+    for i, combo in enumerate(combinations_with_replacement(range(m), spec.b)):
         counts = np.bincount(combo, minlength=m)
         weight = fact_b
         prob = 1.0
         for j, c in enumerate(counts):
             weight //= math.factorial(int(c))
             prob *= probs[j] ** int(c)
-        total = sum(atoms[j] * int(c) for j, c in enumerate(counts) if c)
-        out.append((total, weight * prob))
-    return out
+        totals[i] = sum(atoms[j] * int(c) for j, c in enumerate(counts) if c)
+        weights[i] = weight * prob
+    return totals, weights
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import mc
-from .linalg import batch_operator_norms, row_norms
+from .linalg import batch_operator_norms, dot_rows, row_norms
 from .models import (BLOCK, MAX_SUPPORT_ATOMS, ConfigurationError, ModelSpec,
                      h_sum_support, independent_gaussian_b, pair_a, sample_h_sums,
                      sample_pairs)
@@ -75,13 +75,6 @@ class ProductState:
         """The (m, d) view of ``r_entries``."""
         return self.r_entries.T
 
-    def _dot(self, out: np.ndarray, xs, ys) -> np.ndarray:
-        """out = sum_k xs[k] * ys[k] over rows, added in k order."""
-        np.multiply(xs[0], ys[0], out=out)
-        for x, y in zip(xs[1:], ys[1:]):
-            out += np.multiply(x, y, out=self._term)
-        return out
-
     def step(self, a: np.ndarray, b: np.ndarray | None = None) -> None:
         """R += Pi b (unless b is None), then Pi <- Pi a, for (m, d, d) a and
         (m, d) b, read as entry rows of any strides (contiguous for Bartlett
@@ -93,7 +86,7 @@ class ProductState:
             scale, bt = np.exp(self.log_scale), b.T
             r = np.empty_like(self.r_entries)
             for i in range(d):
-                self._dot(r[i], pi[i], bt)
+                dot_rows(r[i], pi[i], bt, self._term)
                 r[i] *= scale
                 r[i] += self.r_entries[i]
             self.r_entries = r
@@ -103,14 +96,14 @@ class ProductState:
             for i in range(d):
                 for j in range(i, d):
                     # S is symmetric, and x * y == y * x bit for bit
-                    t = self._dot(self._spare[i, j], p[i], p[j])
+                    t = dot_rows(self._spare[i, j], p[i], p[j], self._term)
                     self.cov[i, j] += t
                     if j > i:
                         self.cov[j, i] += t
         at, new = a.transpose(1, 2, 0), self._spare
         for i in range(d):
             for j in range(d):
-                self._dot(new[i, j], pi[i], at[:, j])
+                dot_rows(new[i, j], pi[i], at[:, j], self._term)
         self.pi_entries, self._spare = new, pi
         # running maximum over the d * d entry rows
         peak = functools.reduce(np.maximum, map(np.abs, new.reshape(d * d, -1)))
@@ -224,28 +217,23 @@ def sample_r_batch(spec: ModelSpec, draws: int, rng: np.random.Generator,
             log_norm = state.log_norms()
         bad = ~np.isfinite(log_norm) | ~functools.reduce(
             np.logical_and, map(np.isfinite, state.r_entries))
-        done = ~bad & (log_norm <= log_tol)
-        ended = bad | done
+        ended = bad | (log_norm <= log_tol) | (n == stop.n_max)
         if ended.any():
-            idx_bad = active[bad]
-            status[idx_bad] = StopStatus.DIVERGED.value
-            n_steps[idx_bad] = n
-            log_final[idx_bad] = np.inf
-            r[idx_bad] = r_prev[bad]
-            idx_done = active[done]
-            status[idx_done] = StopStatus.TOL_PROD.value
-            n_steps[idx_done] = n
-            log_final[idx_done] = log_norm[done]
-            r[idx_done] = state.r[done]
+            # a path that neither diverged nor met tol_prod ended at n_max;
+            # each status write overrides the one before it
+            idx, lf = active[ended], log_norm[ended]
+            n_steps[idx] = n
+            log_final[idx] = lf
+            r[idx] = state.r[ended]
+            status[idx[lf >= 0]] = StopStatus.NON_CONTRACTION.value
+            status[idx[lf <= log_tol]] = StopStatus.TOL_PROD.value
+            idx = active[bad]
+            status[idx] = StopStatus.DIVERGED.value
+            log_final[idx] = np.inf
+            r[idx] = r_prev[bad]
             alive = ~ended
             state.keep(alive)
-            active, log_norm = active[alive], log_norm[alive]
-        if n == stop.n_max and active.size:
-            nc = log_norm >= 0  # never decayed below 1
-            status[active[nc]] = StopStatus.NON_CONTRACTION.value
-            n_steps[active] = n
-            log_final[active] = log_norm
-            r[active] = state.r
+            active = active[alive]
     return StationaryBatch(r=r, n_steps=n_steps, log_pi_final=log_final, status=status)
 
 
@@ -311,8 +299,8 @@ class AlphaTilt:
         support = h_sum_support(spec, limit)
         if support is None:
             return None
-        atoms = pair_a(spec, np.stack([h for h, _ in support]))
-        return cls(atoms, np.array([p for _, p in support]), alpha)
+        h, probs = support
+        return cls(pair_a(spec, h), probs, alpha)
 
     def _tilt(self, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tilted inner CDFs and per-atom ratios |A_i x|^alpha / c(x) by row."""
@@ -352,7 +340,7 @@ class AlphaTilt:
         for lo in range(0, u.size, step):
             rows = slice(lo, lo + step)
             ax = np.einsum("mij,nj->nmi", self.atoms, x[rows])
-            norms = np.sqrt((ax * ax).sum(axis=2))
+            norms = row_norms(ax)
             cdf, rat = self._tilt(norms)
             t = np.flatnonzero(tilted[rows])
             idx[lo + t] = (cdf[t] <= u[lo + t, None]).sum(axis=1)

@@ -74,8 +74,8 @@ class FirstColumnSample:
         self.u = u / np.linalg.norm(u)
         support = h_sum_support(spec)
         if support is not None:
-            pairs = _pairs(np.stack([h @ self.u for h, _ in support], axis=1), self.u)
-            self.weights = np.array([p for _, p in support])
+            atoms, self.weights = support
+            pairs = _pairs((atoms @ self.u).T, self.u)
         else:
             def task(rng, m):
                 cols = (sample_h_columns(spec, m, rng) if direction is None else

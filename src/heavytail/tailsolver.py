@@ -263,14 +263,13 @@ def alpha_curve(spec: ModelSpec, xi_grid, samples: int = 200_000, seed: int = 0,
 class ContourGrid:
     param_grid: tuple[float, ...]
     s_grid: tuple[float, ...]
-    h: np.ndarray                # raw values, shape (len(param_grid), len(s_grid))
-    h_clipped: np.ndarray        # clipped at clip_level for display
+    h: np.ndarray                # shape (len(param_grid), len(s_grid))
     isoline: tuple[np.ndarray, ...]  # polylines in (param, s) coordinates
 
 
 def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
                  samples: int = 100_000, seed: int = 0,
-                 workers: int | None = None, clip_level: float = 2.0) -> ContourGrid:
+                 workers: int | None = None) -> ContourGrid:
     """h over a (b, s) or (eta, s) grid plus the h = 1 isoline.
 
     An eta-grid shares one frozen draw of H columns from ``seed`` across the
@@ -281,8 +280,7 @@ def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
     function of the shared sample and its parameter, so the grid does not
     depend on scheduling. A b-grid fills its columns in turn, since each
     column already draws its sample on ``workers`` threads.
-    Values are clipped at ``clip_level`` for display; raw values are kept
-    alongside. An eta <= 0 or a b < 1 on the grid is a ConfigurationError;
+    An eta <= 0 or a b < 1 on the grid is a ConfigurationError;
     a non-integer b >= 1 is warned about and its column recorded as NaN.
     """
     if param not in ("b", "eta"):
@@ -316,8 +314,7 @@ def contour_grid(spec: ModelSpec, param: str, param_grid, s_grid,
     h = np.array(mc.parallel_tasks(column, len(param_grid), pool_workers)).reshape(
         len(param_grid), len(s_grid))
     isoline = marching_squares(np.asarray(param_grid), np.asarray(s_grid), h, 1.0)
-    return ContourGrid(param_grid=param_grid, s_grid=s_grid, h=h,
-                       h_clipped=np.minimum(h, clip_level), isoline=isoline)
+    return ContourGrid(param_grid=param_grid, s_grid=s_grid, h=h, isoline=isoline)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
+from .linalg import row_norms
 from .models import ModelSpec, iter_h_blocks
 
 
@@ -95,7 +96,7 @@ def build_operator(spec: ModelSpec, s: float, n_bins: int, samples: int,
         col_skipped = 0
         for h in iter_h_blocks(spec, samples, rng):
             ax = x[None, :] - xi * np.einsum("mij,j->mi", h, x)
-            norms = np.sqrt((ax * ax).sum(axis=1))
+            norms = row_norms(ax)
             ok = norms > 0
             col_skipped += int((~ok).sum())
             ax, norms = ax[ok], norms[ok]

@@ -115,6 +115,56 @@ def test_simulate_reports_diverged_paths(tmp_path, capsys):
     assert len(rows) == 3 and all(row.endswith(",inf") for row in rows)
 
 
+# A d = 1 law whose stop-rule paths end in all four ways at --n-max 20,
+# --tol-prod 1e-3: ten steps of A = -0.5 reach tol_prod, two steps of
+# A = 1e200 overflow R (diverged), one such step keeps ||Pi|| >= 1 up to
+# n_max (non_contraction), and fewer than ten steps of A = -0.5 leave ||Pi||
+# in (1e-3, 1) at n_max (n_max).
+FOUR_WAY_LAW = """\
+[model]
+variant = symm
+d = 1
+b = 1
+eta = 1.0
+
+[h_law]
+kind = mixture
+matrices = [[0.0]] ; [[1.5]] ; [[-1e200]]
+probs = 0.35, 0.6, 0.05
+"""
+
+# The CSV of simulate on FOUR_WAY_LAW below, as written when the n_max paths
+# were closed in a block of their own after the diverged and tol_prod ones.
+FOUR_WAY_SIMULATE_SHA256 = "bd040ccdbff8e36757cb9cec823c3cc6a76833f91f0d4b0cb4b791a6cbbcd74b"
+
+
+def test_simulate_ends_each_path_by_its_status(tmp_path):
+    law = tmp_path / "four.law"
+    law.write_text(FOUR_WAY_LAW)
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--law-file", law, "--samples", "300", "--n-max", "20",
+                    "--tol-prod", "1e-3", "--seed", "3", "--workers", "1",
+                    "--out", out]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FOUR_WAY_SIMULATE_SHA256
+    batch = recursion.sample_r_parallel(load_law_file(str(law)), 300, 3,
+                                        recursion.StopRule(1e-3, 20), 1)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["n"]) for row in rows] == batch.n_steps.tolist()
+    assert [float(row["log_norm_pi"]) for row in rows] == batch.log_pi_final.tolist()
+    n, log_final, r = batch.n_steps, batch.log_pi_final, batch.r[:, 0]
+    log_tol = math.log(1e-3)
+    assert np.isfinite(r).all() and ((n >= 1) & (n <= 20)).all()
+    for status, ok in {
+            "diverged": np.isinf(log_final) & (log_final > 0),
+            "tol_prod": log_final <= log_tol,
+            "n_max": (n == 20) & (log_final > log_tol) & (log_final < 0),
+            "non_contraction": (n == 20) & np.isfinite(log_final) & (log_final >= 0),
+    }.items():
+        ended = batch.status == status
+        assert ended.any() and ok[ended].all(), status
+
+
 def test_simulate_fixed_n(tmp_path):
     out = tmp_path / "sim.csv"
     code = run_cli(["simulate", "--model", "rank1gauss", "--d", "1", "--b", "1",
@@ -643,6 +693,34 @@ def test_operator_csv(tmp_path, capsys):
     assert "leading eigenvalue" in capsys.readouterr().out
 
 
+# H = 1e200 I: each |A x| is about 1e200, whose square overflows
+BIG_H_LAW = """\
+[model]
+variant = symm
+d = 2
+b = 1
+eta = 1.0
+
+[h_law]
+kind = deterministic
+matrices = [[1e200, 0.0], [0.0, 1e200]]
+"""
+
+
+def test_operator_keeps_norms_past_the_square_overflow(tmp_path, capsys):
+    law = tmp_path / "big.law"
+    law.write_text(BIG_H_LAW)
+    out = tmp_path / "op.csv"
+    assert run_cli(["operator", "--law-file", law, "--bins", "8", "--samples", "16",
+                    "--out", out]) == EXIT_OK
+    assert "leading eigenvalue = 1e+200 " in capsys.readouterr().out
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
+    for column in ("eigenfunction", "eigenmeasure"):
+        assert all(math.isfinite(float(row[column])) for row in rows)
+
+
 def test_tailfit_summary(tmp_path, capsys):
     out = tmp_path / "fit.csv"
     code = run_cli(["tailfit", "--model", "rank1gauss", "--d", "1", "--b", "1",
@@ -881,10 +959,14 @@ def test_contour_csv_and_svg(tmp_path):
     svg = tmp_path / "c.svg"
     code = run_cli(["contour", "--model", "rank1gauss", "--d", "2", "--b", "1",
                     "--eta", "0.75", "--param", "b", "--param-grid", "1,2,3",
-                    "--s-grid", "0.5:0.5:4", "--samples", "5000",
+                    "--s-grid", "0.5:0.5:4", "--samples", "5000", "--clip", "1.5",
                     "--out", out, "--svg", svg])
     assert code == EXIT_OK
     assert out.read_text().startswith("b,s,h,h_clipped")
+    with open(out, newline="", encoding="utf-8") as fh:
+        h = [(float(row["h"]), float(row["h_clipped"])) for row in csv.DictReader(fh)]
+    # the CLI clips for display; the solver's h is kept as it is
+    assert max(raw for raw, _ in h) > 1.5 and all(c == min(raw, 1.5) for raw, c in h)
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text
 

@@ -160,13 +160,13 @@ def test_mixture_probability_validation():
 def test_h_sum_support_multiset_expansion():
     law = MixtureLaw((np.eye(1) * 0.5, np.eye(1) * 2.5), (0.25, 0.75))
     spec = symm(d=1, b=2, eta=1.0, h_law=law)
-    support = h_sum_support(spec)
-    assert len(support) == 3  # multisets {aa, ab, bb}
-    totals = sorted((float(h[0, 0]), p) for h, p in support)
+    atoms, probs = h_sum_support(spec)
+    assert atoms.shape == (3, 1, 1) and probs.shape == (3,)  # multisets {aa, ab, bb}
+    totals = sorted(zip(atoms[:, 0, 0].tolist(), probs.tolist()))
     assert totals[0] == (1.0, pytest.approx(0.0625))
     assert totals[1] == (3.0, pytest.approx(2 * 0.25 * 0.75))
     assert totals[2] == (5.0, pytest.approx(0.5625))
-    assert sum(p for _, p in support) == pytest.approx(1.0)
+    assert probs.sum() == pytest.approx(1.0)
 
 
 def test_h_columns_match_full_sums():
@@ -180,8 +180,8 @@ def test_law_file_round_trip_semantics():
     spec = spec_from_law_text(MIX_LAW_TEXT)
     assert spec.variant is Variant.SYMM
     assert spec.d == 1 and spec.b == 1 and spec.eta == 1.0
-    support = h_sum_support(spec)
-    assert {float(h[0, 0]) for h, _ in support} == {0.5, 2.5}
+    atoms, _ = h_sum_support(spec)
+    assert set(atoms[:, 0, 0].tolist()) == {0.5, 2.5}
     spec2 = spec_from_law_text(MIX_LAW_TEXT, overrides={"eta": 0.25})
     assert spec2.eta == 0.25
 

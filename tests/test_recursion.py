@@ -445,6 +445,16 @@ def test_row_norms_keep_plain_bits_below_overflow():
     big = np.array([[1e300, -1e300], [3e200, 4e200], [np.inf, 1.0]])
     assert np.allclose(row_norms(big)[:2], np.hypot(big[:2, 0], big[:2, 1]), rtol=1e-15)
     assert row_norms(big)[2] == np.inf
+    # an (n, m, d) stack reduces over its last axis: plain bits, and a row
+    # past 1e154 scaled
+    stack = x[:999].reshape(333, 3, 3).copy()
+    stack[5, 1] = [3e200, 4e200, 0.0]
+    norms = row_norms(stack)
+    assert norms.shape == (333, 3) and norms[5, 1] == pytest.approx(5e200, rel=1e-15)
+    plain = np.ones(norms.shape, dtype=bool)
+    plain[5, 1] = False
+    with np.errstate(over="ignore"):
+        assert np.array_equal(norms[plain], np.sqrt((stack * stack).sum(axis=2))[plain])
 
 
 def test_sample_r_stationary_mean_zero_d1():

@@ -320,7 +320,7 @@ def test_direction_on_finite_support_is_exact():
     assert cols.exact and cols.n == 3
     for s in (0.5, 1.5):
         exact = sum(p * np.linalg.norm(u - spec.xi * h @ u) ** s
-                    for h, p in h_sum_support(spec))
+                    for h, p in zip(*h_sum_support(spec)))
         est = cols.h(s)
         assert est.stderr == 0.0
         assert est.mean == pytest.approx(exact, rel=1e-14)
@@ -358,7 +358,7 @@ def _columns(spec, samples, seed, workers=1, direction=None):
     u = u / np.linalg.norm(u)
     support = h_sum_support(spec)
     if support is not None:
-        return u, np.stack([h @ u for h, _ in support], axis=1)
+        return u, (support[0] @ u).T
 
     def task(rng, m):
         if direction is None:
