@@ -33,6 +33,8 @@ INLINE_MODELS = ("rank1gauss", "rank1", "symm-goe", "symm-det-identity")
 # The most points a start:step:stop grid may have. The largest default grid
 # has 41 points (--s-grid 0:0.25:10).
 MAX_GRID_POINTS = 10_000
+# Rows of a long CSV turned into Python objects at a time
+CSV_SLICE_ROWS = 4096
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
@@ -339,9 +341,15 @@ def _cmd_simulate(args, spec: ModelSpec) -> int:
                                         args.workers)
     header = (["sample_id", "n"] + [f"r_{i+1}" for i in range(spec.d)]
               + ["abs_r", "log_norm_pi"])
-    rows = zip(range(args.samples), batch.n_steps.tolist(), *batch.r.T.tolist(),
-               batch.abs_r.tolist(), batch.log_pi_final.tolist())
-    _write_csv(args.out, header, rows)
+    columns = (batch.n_steps, *batch.r.T, batch.abs_r, batch.log_pi_final)
+
+    def rows():
+        # Python objects for one slice of rows at a time, not whole columns
+        for lo in range(0, args.samples, CSV_SLICE_ROWS):
+            yield from zip(itertools.count(lo),
+                           *(c[lo:lo + CSV_SLICE_ROWS].tolist() for c in columns))
+
+    _write_csv(args.out, header, rows())
     n_div, n_nc = _unusable_counts(batch).values()
     if n_div:
         print(f"warning: {n_div}/{args.samples} trajectories diverged "

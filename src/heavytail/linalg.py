@@ -20,11 +20,18 @@ _NORM_LO, _NORM_HI = 1e-150, 1e150
 
 
 def _norms_2x2(p: np.ndarray) -> np.ndarray:
-    """Largest singular values of a (n, 2, 2) stack."""
+    """Largest singular values of a (n, 2, 2) stack, in four arrays of n
+    reused for every step of the formula."""
     a, b = p[:, 0, 0], p[:, 0, 1]
     c, e = p[:, 1, 0], p[:, 1, 1]
     s, t, u, v = a + e, b - c, a - e, b + c
-    return (np.sqrt(s * s + t * t) + np.sqrt(u * u + v * v)) / 2.0
+    for x, y in ((s, t), (u, v)):
+        np.square(x, out=x)
+        x += np.square(y, out=y)
+        np.sqrt(x, out=x)
+    s += u
+    s /= 2.0
+    return s
 
 
 def batch_operator_norms(p: np.ndarray) -> np.ndarray:
@@ -44,7 +51,13 @@ def batch_operator_norms(p: np.ndarray) -> np.ndarray:
             exp = np.frexp(np.abs(q).max(axis=(1, 2)))[1]
             out[extreme] = np.ldexp(_norms_2x2(np.ldexp(q, -exp[:, None, None])), exp)
         return out
-    return np.linalg.svd(p, compute_uv=False)[..., 0]
+    finite = np.isfinite(p).all(axis=(1, 2))
+    if finite.all():
+        return np.linalg.svd(p, compute_uv=False)[..., 0]
+    # svd raises on a non-finite matrix; its norm is inf, or NaN with a NaN
+    out = np.abs(p).max(axis=(1, 2))
+    out[finite] = np.linalg.svd(p[finite], compute_uv=False)[..., 0]
+    return out
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

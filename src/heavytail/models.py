@@ -284,13 +284,19 @@ def _bartlett_column(spec: ModelSpec, j: int, n: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Column j of n Bartlett factors as one (d - j, n) array, rows
     L_jj, L_{j+1,j}, ..., L_{d-1,j} of n draws each. L_jj =
-    sqrt(chi^2_{b-j}) is drawn first, then the N(0, 1) entries below it."""
+    sqrt(chi^2_{b-j}) is drawn first, then the N(0, 1) entries below it.
+    numpy's chisquare(df) is 2 * standard_gamma(df / 2), so drawing the
+    gamma into the row and doubling it there gives chisquare's stream and
+    bits without its temporary."""
     df = spec.b - j
     col = np.empty((spec.d - j, n))
+    row = col[0]
     if df == 1:
-        np.abs(rng.standard_normal(out=col[0]), out=col[0])
+        np.abs(rng.standard_normal(out=row), out=row)
     else:
-        np.sqrt(rng.chisquare(df, n), out=col[0])
+        rng.standard_gamma(df / 2, out=row)
+        row *= 2.0
+        np.sqrt(row, out=row)
     rng.standard_normal(out=col[1:])
     return col
 
@@ -371,9 +377,14 @@ def sample_pairs(spec: ModelSpec, n: int, rng: np.random.Generator) -> tuple[np.
     return _draw(spec, n, rng, with_b=True)
 
 
-def pair_a(spec: ModelSpec, h: np.ndarray) -> np.ndarray:
-    """A = I - xi*H for a batch (or single) summed H."""
-    return np.eye(spec.d) - spec.xi * h
+def pair_a(spec: ModelSpec, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A = I - xi*H for a batch (or single) summed H. With ``out=h`` A is
+    written over H, with the same bits: (-xi*h) + I rounds as I - xi*h."""
+    if out is None:
+        return np.eye(spec.d) - spec.xi * h
+    np.multiply(h, -spec.xi, out=out)
+    out += np.eye(spec.d)
+    return out
 
 
 def iter_h_blocks(spec: ModelSpec, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:

@@ -29,20 +29,29 @@ import warnings
 import numpy as np
 
 from . import mc
-from .linalg import batch_operator_norms
+from .linalg import batch_operator_norms, row_norms
 from .models import (ModelSpec, h_sum_support, iter_h_blocks, pair_a,
                      sample_h_columns, sample_pairs)
 from .recursion import ProductState
 
 S_MAX_DEFAULT = 30.0
+# While |xi| * max(|t|, r) is at most this, no square in ``v`` overflows
+_V_SAFE = 1e150
 GAUSS_TAIL_CUT = 40.0  # N(0,1) mass beyond |a|=40 is < 1e-300
 QUAD_ABS_TOL = 1e-10
 
 
 def _pairs(rows, u: np.ndarray) -> np.ndarray:
-    """The (n, 2) pairs (t, r) of n columns H u given as their d entry rows."""
+    """The (n, 2) pairs (t, r) of n columns H u given as their d entry rows.
+    An r whose squares overflow is recomputed by ``row_norms``, scaled by a
+    power of two; every other r keeps the bits of the plain form."""
     t = sum(c * uj for c, uj in zip(rows, u))
-    r = np.sqrt(sum((c - t * uj) ** 2 for c, uj in zip(rows, u)))
+    with np.errstate(over="ignore"):
+        r = np.sqrt(sum((c - t * uj) ** 2 for c, uj in zip(rows, u)))
+    big = np.flatnonzero(np.isinf(r))
+    if big.size:
+        r[big] = row_norms(np.stack([c[big] - t[big] * uj for c, uj in zip(rows, u)],
+                                    axis=-1))
     return np.stack((t, r), axis=-1)
 
 
@@ -86,6 +95,9 @@ class FirstColumnSample:
         self.t, self.r = (np.ascontiguousarray(c) for c in pairs.T)
         self.exact = self.weights is not None
         self.n = self.t.size
+        # 1 - xi t and xi r are at most 1 + |xi| * bound in size (``v``)
+        self._bound = max(-self.t.min(initial=0.0), self.t.max(initial=0.0),
+                          self.r.max(initial=0.0))
         self._last_v = threading.local()  # per thread: (xi, log, array) of its last xi
 
     def v(self, xi: float, log: bool = False) -> np.ndarray:
@@ -106,9 +118,15 @@ class FirstColumnSample:
         # to u: no term is negative, so nothing cancels. At d <= 2 along e_1, t = c_1
         # and r = sqrt(c_2^2) = |c_2| exactly, so v has the column formula's bits.
         out, term = np.multiply(self.t, xi), np.multiply(self.r, xi)
-        np.square(np.subtract(1.0, out, out=out), out=out)
-        out += np.square(term, out=term)
+        with np.errstate(over="ignore"):
+            np.square(np.subtract(1.0, out, out=out), out=out)
+            out += np.square(term, out=term)
         np.sqrt(out, out=out)
+        if abs(xi) * self._bound > _V_SAFE:
+            # some squares may have overflowed: recompute those draws scaled
+            big = np.flatnonzero(np.isinf(out))
+            out[big] = row_norms(np.stack((1.0 - xi * self.t[big], xi * self.r[big]),
+                                          axis=-1))
         if log:
             with np.errstate(divide="ignore"):
                 np.log(out, out=out)
@@ -206,7 +224,7 @@ def product_log_norms(spec: ModelSpec, n: int, draws: int,
     logs = np.zeros((draws, 2))
     for step in range(1, n + 1):
         h, _b = sample_pairs(spec, draws, rng)
-        state.step(pair_a(spec, h))
+        state.step(pair_a(spec, h, out=h))
         if step in (n // 2, n):
             logs[:, int(step == n)] = state.log_scale + np.log(
                 np.maximum(batch_operator_norms(state.pi), 1e-300))

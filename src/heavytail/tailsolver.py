@@ -213,8 +213,10 @@ def alpha_curve(spec: ModelSpec, xi_grid, samples: int = 200_000, seed: int = 0,
 
     xi_1 and every grid point are solved on one frozen draw of ``samples``
     columns from ``seed`` (common random numbers across xi). On that draw
-    h(xi, s) is convex in s and in xi, so alpha - 1 has the sign of
-    xi_1 - xi, and the converged alphas fall strictly as xi grows.
+    h(xi, s) is convex in s, and in xi for s >= 1, so alpha - 1 has the
+    sign of xi_1 - xi, and for xi < xi' the converged alphas have
+    alpha(xi) >= alpha(xi') whenever alpha(xi') >= 1. Below 1 they can
+    rise with xi, so the report may read False on a correct curve.
 
     The points are solved on ``workers`` threads. Each depends only on the
     frozen sample, so the curve does not depend on scheduling.

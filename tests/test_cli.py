@@ -721,6 +721,61 @@ def test_operator_keeps_norms_past_the_square_overflow(tmp_path, capsys):
         assert all(math.isfinite(float(row[column])) for row in rows)
 
 
+def test_frozen_moments_keep_norms_past_the_square_overflow(tmp_path, capsys):
+    # v = |1 - 1e200| = 1e200 on the one exact draw: k(s) = 1e200^s and
+    # gamma = log 1e200, where squaring 1 - xi t overflowed to NaN and nan
+    law = tmp_path / "big.law"
+    law.write_text(BIG_H_LAW)
+    out = tmp_path / "k.csv"
+    assert run_cli(["kcurve", "--law-file", law, "--s-grid", "0,0.5,1",
+                    "--out", out]) == EXIT_OK
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["estimate"]) for row in rows] == pytest.approx(
+        [1.0, 1e100, 1e200], rel=1e-14)
+    assert [row["stderr"] for row in rows] == ["0.0"] * 3
+    assert run_cli(["lyapunov", "--law-file", law, "--out", out]) == EXIT_OK
+    assert "gamma = 460.517 +- 0 (closed_form)" in capsys.readouterr().out
+    with open(out, newline="", encoding="utf-8") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["gamma"]) == pytest.approx(200 * math.log(10), rel=1e-14)
+    assert row["skipped"] == "0"
+
+
+# Item 3's Rademacher data in their eigenbasis, at b = 5: exact (stderr 0)
+DIAG_LAW = """\
+[model]
+variant = symm
+d = 2
+b = 5
+eta = 2.0
+
+[h_law]
+kind = mixture
+matrices = [[2.0, 0.0], [0.0, 0.0]] ; [[0.0, 0.0], [0.0, 2.0]]
+probs = 0.5, 0.5
+"""
+
+
+def test_alpha_below_one_need_not_fall_as_xi_grows(tmp_path, capsys):
+    # h(., s) is convex in xi only for s >= 1, so alpha(xi) is monotone only
+    # where alpha >= 1: on this exact law it falls and then rises below 1
+    law = tmp_path / "diag.law"
+    law.write_text(DIAG_LAW)
+    out = tmp_path / "curve.csv"
+    with pytest.warns(RuntimeWarning, match="rotation-invariant"):
+        code = run_cli(["alphacurve", "--law-file", law, "--xi-grid", "0.44:0.01:0.49",
+                        "--out", out])
+    assert code == EXIT_OK
+    assert "strictly decreasing beyond uncertainty: False" in capsys.readouterr().out
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["converged"] * 6
+    assert [float(row["stderr_alpha"]) for row in rows] == [0.0] * 6
+    assert [float(row["alpha"]) for row in rows] == pytest.approx(
+        [0.174138, 0.143099, 0.128361, 0.128551, 0.143854, 0.178640], abs=5e-7)
+
+
 def test_tailfit_summary(tmp_path, capsys):
     out = tmp_path / "fit.csv"
     code = run_cli(["tailfit", "--model", "rank1gauss", "--d", "1", "--b", "1",

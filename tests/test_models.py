@@ -306,6 +306,20 @@ def test_bartlett_draws_are_contiguous_entry_rows(d, b):
     assert sample_h_columns(spec, 1000, mc.substream(14)).T.flags.c_contiguous
 
 
+@pytest.mark.parametrize("spec", [
+    rank1_gauss(d=1, b=1, eta=0.6), rank1_gauss(d=2, b=8, eta=1.5), rank1_gauss(d=3, b=2, eta=0.4),
+    symm(d=2, b=1, eta=1.0, h_law=MixtureLaw((np.diag([2.0, 0.0]), np.diag([0.0, 2.0])),
+                                             (0.5, 0.5)))])
+def test_pair_a_written_over_h_keeps_the_bits(spec):
+    # A = I - xi*H written over a fresh H is the pure form's array bit for
+    # bit, the sign of every zero entry included
+    h, _ = sample_pairs(spec, 500, mc.substream(17))
+    want = pair_a(spec, h)
+    a = pair_a(spec, h, out=h)
+    assert a is h
+    assert a.tobytes() == want.tobytes()
+
+
 def test_singular_bartlett_and_a_draw_path_for_non_gaussian_laws():
     # b < d: a singular Bartlett H of rank b, with the same first column
     # and H from every sampler on one stream

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from scipy import stats
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -12,8 +12,9 @@ from hypothesis.extra import numpy as hnp
 from heavytail import mc, recursion
 from heavytail.cli import main
 from heavytail.linalg import batch_operator_norms, row_norms
-from heavytail.models import (ConfigurationError, MixtureLaw, independent_gaussian_b,
-                              pair_a, rank1_gauss, sample_pairs, symm)
+from heavytail.models import (ConfigurationError, MixtureLaw, ModelSpec, Variant,
+                              independent_gaussian_b, pair_a, rank1_gauss, sample_pairs,
+                              symm)
 from heavytail.recursion import (AlphaTilt, ProductState, StopRule, StopStatus,
                                  TiltedPaths, finite_iteration_tail,
                                  moment_growth_curve, partial_sum_norms,
@@ -58,6 +59,17 @@ def test_operator_norm_at_extreme_scales(scale):
     ref = np.linalg.svd(m, compute_uv=False)[:, 0]
     assert np.allclose(batch_operator_norms(m * scale) / scale, ref,
                        rtol=1e-12, atol=0)
+
+
+def test_operator_norm_of_non_finite_3x3_matrices():
+    # svd raises on a non-finite matrix; such a norm is inf, or NaN with a
+    # NaN entry, and the finite matrices beside it keep svd's value
+    m = np.random.default_rng(8).standard_normal((4, 3, 3))
+    ref = np.linalg.svd(m, compute_uv=False)[:, 0]
+    m[1, 2, 0], m[2, 0, 1], m[2, 1, 1] = np.inf, -np.inf, np.nan
+    norms = batch_operator_norms(m)
+    assert norms[1] == np.inf and np.isnan(norms[2])
+    assert np.array_equal(norms[[0, 3]], ref[[0, 3]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,6 +289,110 @@ def test_sample_r_batch_matches_a_matmul_reference():
     assert np.array_equal(batch.n_steps, n_steps)
     assert np.array_equal(batch.status, status)
     assert (row_norms(batch.r - r) <= 1e-9 * row_norms(r)).all()
+
+
+def _exact_norm_stop_reference(spec, draws, rng, stop):
+    """sample_r_batch with A from pair_a, einsum products re-based as
+    ProductState re-bases them, and the exact norm of every path on every
+    step: (r, n_steps, log_pi_final, status)."""
+    d = spec.d
+    pi = np.broadcast_to(np.eye(d), (draws, d, d)).copy()
+    log_scale, r_run = np.zeros(draws), np.zeros((draws, d))
+    r, n_steps, log_final = np.zeros((draws, d)), np.zeros(draws, dtype=int), np.zeros(draws)
+    status = np.full(draws, StopStatus.N_MAX.value, dtype=object)
+    active = np.arange(draws)
+    log_tol = np.log(stop.tol_prod) if stop.tol_prod > 0 else -np.inf
+    for n in range(1, stop.n_max + 1):
+        if not active.size:
+            break
+        h, b = sample_pairs(spec, active.size, rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pi_b = _einsum_matmul(pi, np.stack([b, b], axis=2))[:, :, 0]
+            r_prev, r_run = r_run, pi_b * np.exp(log_scale)[:, None] + r_run
+            pi = _einsum_matmul(pi, pair_a(spec, h))
+            peak = np.abs(pi).max(axis=(1, 2))
+            hit = (peak > 1e150) | ((peak > 0) & (peak < 1e-150))
+            nm = batch_operator_norms(pi[hit])
+            pi[hit] /= nm[:, None, None]
+            log_scale[hit] += np.log(nm)
+            log_norm = log_scale + np.log(np.maximum(batch_operator_norms(pi), 1e-300))
+        bad = ~np.isfinite(log_norm) | ~np.isfinite(r_run).all(axis=1)
+        ended = bad | (log_norm <= log_tol) | (n == stop.n_max)
+        for k in np.flatnonzero(ended):
+            i = active[k]
+            n_steps[i], log_final[i], r[i] = n, log_norm[k], r_run[k]
+            if bad[k]:
+                status[i], log_final[i], r[i] = StopStatus.DIVERGED.value, np.inf, r_prev[k]
+            elif log_norm[k] <= log_tol:
+                status[i] = StopStatus.TOL_PROD.value
+            elif log_norm[k] >= 0:
+                status[i] = StopStatus.NON_CONTRACTION.value
+        pi, log_scale, r_run, active = (x[~ended] for x in (pi, log_scale, r_run, active))
+    return r, n_steps, log_final, status
+
+
+def _stop_rule_law(d, kind, scales, b, eta):
+    """A law for the stop-rule property: scalar atoms (A = c I, products
+    that re-base past 1e+-150 or overflow), diagonal atoms (zero
+    off-diagonal entries), the Bartlett law or the a-draw rank1 law."""
+    if kind == "rank1gauss":
+        return rank1_gauss(d=d, b=b, eta=eta)
+    if kind == "rank1":
+        a_law = MixtureLaw(tuple(np.eye(d)[i % d] * c for i, c in enumerate(scales)),
+                           (1.0 / len(scales),) * len(scales))
+        return ModelSpec(Variant.RANK1, d=d, b=b, eta=eta, a_law=a_law)
+    # xi = 1: A = I - H has the atom values c on the diagonal
+    if kind == "scalar":
+        atoms = tuple((1.0 - c) * np.eye(d) for c in scales)
+    else:
+        atoms = tuple(np.diag([1.0 - c] + [1.0 - c * (j + 2) / 2 for j in range(d - 1)])
+                      for c in scales)
+    return symm(d=d, b=1, eta=1.0, h_law=MixtureLaw(atoms, (1.0 / len(atoms),) * len(atoms)),
+                b_law=MixtureLaw((np.linspace(1.0, 2.0, d), -np.ones(d)), (0.5, 0.5)))
+
+
+# Atom values of A: contracting, expanding, sign-changing and 0, with
+# products that leave [1e-150, 1e150] within a few steps or overflow (A is
+# I - H here, so no atom of A is closer to 0 than about 1e-16 but 0)
+_A_VALUES = st.sampled_from([0.5, -0.5, 0.9, 1.0, -1.0, 2.0, 0.0, 1e-10, 1e60, 3e100, -1e200])
+
+
+# Every example passes (bit for bit) over hypothesis seeds 0-199 at 150
+# examples each; the property is exact, not statistical.
+@seed(20261022)
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]),
+       kind=st.sampled_from(["scalar", "diagonal", "rank1gauss", "rank1"]),
+       scales=st.lists(_A_VALUES, min_size=1, max_size=2),
+       b=st.integers(1, 4), eta=st.sampled_from([0.3, 1.0, 1.5, 2.5]),
+       tol=st.sampled_from([0.0, 1e-300, 1e-12, 0.5, 4.0]), tol_power=st.integers(0, 40),
+       n_max=st.integers(1, 60), draws=st.integers(1, 40), rng_seed=st.integers(0, 2**16))
+# products re-based below 1e-150 that meet tol_prod after the re-base, or
+# that would underflow to 0 without it (tol_prod 0)
+@example(d=2, kind="scalar", scales=[1e-10], b=1, eta=1.0, tol=1e-300, tol_power=0,
+         n_max=60, draws=3, rng_seed=0)
+@example(d=1, kind="diagonal", scales=[1e-10, 0.5], b=1, eta=1.0, tol=0.0, tol_power=0,
+         n_max=60, draws=20, rng_seed=1)
+# overflow to NaN at d = 3
+@example(d=3, kind="rank1", scales=[-1e200], b=1, eta=0.3, tol=0.0, tol_power=0,
+         n_max=3, draws=2, rng_seed=3)
+def test_stop_rule_equals_exact_norms_on_every_step(d, kind, scales, b, eta, tol, tol_power,
+                                                    n_max, draws, rng_seed):
+    # sample_r_batch (in-place path compaction, a swapped R buffer, a scale
+    # multiply that waits for the first re-base) against a plain loop with
+    # one array per step, bit for bit. tol_prod is a fixed value, or
+    # (tol_power > 0) a power of the first atom's |A|, on the product's entries
+    spec = _stop_rule_law(d, kind, scales, b, eta)
+    if tol_power:
+        with np.errstate(over="ignore", under="ignore"):
+            tol = float(np.power(abs(scales[0]), tol_power))
+    stop = StopRule(tol_prod=tol, n_max=n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = sample_r_batch(spec, draws, np.random.default_rng(rng_seed), stop)
+        want = _exact_norm_stop_reference(spec, draws, np.random.default_rng(rng_seed), stop)
+    for got, ref in zip((batch.r, batch.n_steps, batch.log_pi_final), want):
+        assert got.tobytes() == ref.tobytes()
+    assert list(batch.status) == list(want[3])
 
 
 def test_sample_r_parallel_concatenates_worker_substreams():
